@@ -239,8 +239,7 @@ class CampaignRunner:
         controller.apply(fault)
         step_start = perf_counter()
         design.sim.run(self.spec.t_end)
-        if self._phase_s is not None:
-            self._phase_s["step"] += perf_counter() - step_start
+        self._add_phase("step", perf_counter() - step_start)
         return design, controller
 
     def _arm(self, sim):
@@ -477,7 +476,10 @@ class CampaignRunner:
                 snapshots.append((t_ckpt, sim.snapshot()))
             sim.run(self.spec.t_end)
 
-        tree = CheckpointTree()
+        tree = CheckpointTree(
+            max_branches=(DEFAULT_MAX_CHECKPOINTS if max_checkpoints is None
+                          else max_checkpoints)
+        )
         tree.set_trunk(snapshots)
         self._warm.update(
             snapshots=snapshots,
@@ -569,6 +571,11 @@ class CampaignRunner:
         ):
             CampaignRunner._reinflate_golden(warm)
 
+    def _add_phase(self, name, seconds):
+        """Accrue ``seconds`` to a phase while a campaign is running."""
+        if self._phase_s is not None:
+            self._phase_s[name] += seconds
+
     def run_fault_warm(self, fault):
         """Execute one faulty run from the nearest golden checkpoint.
 
@@ -601,9 +608,8 @@ class CampaignRunner:
         with sim.injection_band():
             controller.apply(fault)
         sim.run(self.spec.t_end)
-        if self._phase_s is not None:
-            self._phase_s["restore"] += step_start - restore_start
-            self._phase_s["step"] += perf_counter() - step_start
+        self._add_phase("restore", step_start - restore_start)
+        self._add_phase("step", perf_counter() - step_start)
 
         probes = {
             name: _clone_trace(trace) for name, trace in design.probes.items()
@@ -626,8 +632,8 @@ class CampaignRunner:
           different nodes share the solver step, each saboteur's plan
           carrying per-variant currents (zero outside a variant's
           injection support).
-        * **digital** — bit-flip-style mutants fork off one shared
-          golden branch walk (see :meth:`run_batch_digital`).
+        * **digital** — bit-flip-style mutants fork off shared golden
+          checkpoint nodes (see :meth:`run_batch_digital`).
 
         Per-run metric hooks need a live per-variant design, which a
         batch cannot provide, so campaigns with hooks stay entirely
@@ -734,6 +740,7 @@ class CampaignRunner:
             self._ensure_restorable(warm, snap)
             sim.restore(snap)
             self._resplice_golden_prefixes(warm)
+            step_start = perf_counter()
             for pos, (_index, fault) in enumerate(faults):
                 ensemble.add_injection(
                     pos, warm["saboteurs"][fault.node], fault.transient,
@@ -764,6 +771,8 @@ class CampaignRunner:
             sim.budget = None
 
         wall_s = perf_counter() - wall_start
+        self._add_phase("restore", step_start - wall_start)
+        self._add_phase("step", wall_s - (step_start - wall_start))
         events = sim.events_executed - events_before
         survivors = ensemble.completed()
         info["peeled"] = len(ensemble.peeled)
@@ -805,18 +814,53 @@ class CampaignRunner:
             t = t_last + (times[-1] - t_last) + gap
         return times
 
-    def run_batch_digital(self, indices):
-        """Execute one batch of digital mutants along a golden branch walk.
+    def _golden_nodes(self, warm, times):
+        """Golden checkpoint nodes at exactly ``times`` (ascending).
 
-        The copy-on-divergence strategy: the group's trunk checkpoint
-        is restored once, then the *golden* trajectory is advanced
-        time-ordered through every distinct flip time (plus a
-        geometric convergence horizon), snapshotting each point as a
-        branch node of the checkpoint tree.  Every mutant then costs
-        one cheap restore of the branch node at exactly its flip time
-        — the shared golden prefix is simulated once per batch, not
-        once per mutant — and runs forward only until its state
-        *re-converges* with a later branch snapshot
+        A time the checkpoint tree already holds — a trunk checkpoint,
+        or a branch node an earlier batch memoised — costs a lookup.
+        Any other is reached by walking the golden trajectory from the
+        latest node held before it (restored only when the simulator
+        does not already sit on that node) and is memoised for later
+        batches.  Golden work: never budgeted or recorded, mirroring
+        the unarmed golden run.  Returns ``(nodes, captured)`` where
+        ``captured`` counts the new snapshots.
+        """
+        tree = warm["tree"]
+        sim = warm["design"].sim
+        sim.budget = None
+        sim.analog.recorder = None
+        # A walk appends to the trace buffers, so their prefixes must
+        # hold golden samples, not what the last faulty run left.
+        self._reinflate_golden(warm)
+        nodes = []
+        captured = 0
+        here = None  # the held node the simulator sits on
+        for t in times:
+            node = tree.golden_at(t)
+            if node.time != t:
+                if node is not here:
+                    self._ensure_restorable(warm, node.snapshot)
+                    sim.restore(node.snapshot)
+                sim.run(t, inclusive=False)
+                node = here = tree.memoise(t, sim.snapshot())
+                captured += 1
+            nodes.append(node)
+        return nodes, captured
+
+    def run_batch_digital(self, indices):
+        """Execute one batch of digital mutants off shared golden nodes.
+
+        The copy-on-divergence strategy: the batch needs a golden
+        checkpoint node at every distinct flip time plus a geometric
+        convergence horizon (:meth:`_horizon_times`), and takes each
+        from the checkpoint tree (:meth:`_golden_nodes`) — the golden
+        trajectory is walked only from the latest node the tree holds,
+        and the nodes it captures stay memoised for later batches.
+        Every mutant then costs one cheap restore of the node at
+        exactly its flip time — the shared golden prefix is never
+        simulated per mutant — and runs forward only until its state
+        *re-converges* with a later node's snapshot
         (:meth:`~repro.core.snapshot.Snapshot.matches_live`): a flipped
         bit that is overwritten, shifted out or resynchronised puts
         the mutant back on the golden trajectory, so the rest of its
@@ -833,12 +877,12 @@ class CampaignRunner:
 
         Returns ``(completed, leftovers, info)`` shaped like
         :meth:`run_batch_warm`; ``info`` adds ``converged`` and
-        ``branch_snapshots`` counts.
+        ``branch_snapshots`` (golden captures, memo hits excluded)
+        counts.
         """
         warm = self.prepare_warm()
         design = warm["design"]
         sim = design.sim
-        tree = warm["tree"]
         faults = [(index, self.spec.faults[index]) for index in indices]
         info = {
             "peeled": 0, "fallback": False,
@@ -854,24 +898,13 @@ class CampaignRunner:
                 (index, fault)
             )
         flip_times = sorted(by_time)
-        trunk = tree.trunk_at(flip_times[0])
 
-        # Shared branch walk: golden work, never budgeted (mirrors the
-        # unarmed golden run), one prefix re-splice for the whole batch.
-        branch_nodes = []
+        walk_start = perf_counter()
         try:
-            sim.budget = None
-            sim.analog.recorder = None  # golden walk is never recorded
-            self._reinflate_golden(warm)
-            sim.restore(trunk.snapshot)
-            parent = trunk
-            for t_branch in flip_times + self._horizon_times(flip_times):
-                sim.run(t_branch, inclusive=False)
-                parent = tree.branch(parent, t_branch, sim.snapshot())
-                branch_nodes.append(parent)
+            nodes, info["branch_snapshots"] = self._golden_nodes(
+                warm, flip_times + self._horizon_times(flip_times)
+            )
         except Exception as exc:
-            if branch_nodes:
-                tree.release(branch_nodes[0])
             self._reinflate_golden(warm)
             LOGGER.warning(
                 "digital batch of %d mutants fell back to scalar "
@@ -879,13 +912,13 @@ class CampaignRunner:
             )
             info["fallback"] = True
             return [], list(indices), info
-        info["branch_snapshots"] = len(branch_nodes)
+        self._add_phase("restore", perf_counter() - walk_start)
 
         completed = []
         leftovers = []
         try:
             for position, t_flip in enumerate(flip_times):
-                node = branch_nodes[position]
+                node = nodes[position]
                 for index, fault in by_time[t_flip]:
                     wall_start = perf_counter()
                     events_before = sim.events_executed
@@ -893,24 +926,28 @@ class CampaignRunner:
                         self._arm(sim)
                         self._reinflate_golden(warm)
                         sim.restore(node.snapshot)
+                        step_start = perf_counter()
                         controller = InjectionController(
                             sim, design.root, saboteurs=warm["saboteurs"]
                         )
                         with sim.injection_band():
                             controller.apply(fault)
                         converged = None
-                        for later in branch_nodes[position + 1:]:
+                        for later in nodes[position + 1:]:
                             sim.run(later.time, inclusive=False)
                             if later.snapshot.matches_live(sim):
                                 converged = later
                                 break
+                        if converged is None:
+                            sim.run(self.spec.t_end)
+                        self._add_phase("restore", step_start - wall_start)
+                        self._add_phase("step", perf_counter() - step_start)
                         if converged is not None:
                             info["converged"] += 1
                             probes = self._spliced_probes(
                                 design, warm, converged.snapshot
                             )
                         else:
-                            sim.run(self.spec.t_end)
                             probes = {
                                 name: _clone_trace(trace)
                                 for name, trace in design.probes.items()
@@ -934,8 +971,6 @@ class CampaignRunner:
                     finally:
                         sim.budget = None
         finally:
-            if branch_nodes:
-                tree.release(branch_nodes[0])
             # Whatever state the last mutant left (possibly an
             # early-out mid-window), hand the next consumer — scalar
             # runs, other batches — restorable full-length traces.
@@ -1707,7 +1742,10 @@ class CampaignRunner:
             registry.inc("campaign.warm.hit", hits)
             registry.inc("campaign.warm.miss", len(attempted) - hits)
         if batch:
-            result.execution["batch"] = dict(self._batch_stats)
+            result.execution["batch"] = dict(
+                self._batch_stats,
+                branch_peak_live=self._warm["tree"].peak_live,
+            )
         if sampler is not None:
             result.execution["sampling"] = sampler.summary()
         # Per-phase wall-time breakdown.  restore/step accrue inside

@@ -1,4 +1,4 @@
-"""Checkpoint tree: the restore-point structure batched campaigns share.
+"""Checkpoint tree: the golden restore points campaigns look up by time.
 
 Warm-started campaigns keep a flat list of golden snapshots; batched
 execution generalises that into a *tree*:
@@ -6,23 +6,34 @@ execution generalises that into a *tree*:
 * the **root** is the state at t=0 (the base golden checkpoint);
 * **trunk** nodes are the golden-run checkpoints taken at the faults'
   injection times — the same snapshots plain warm starts restore;
-* **branch** nodes hang off a trunk node: a digital bit-flip batch
-  restores its group's trunk checkpoint once, then advances along the
-  golden trajectory snapshotting at every distinct flip time (and at a
-  geometric tail of *convergence horizon* points), so each mutant
-  restores the branch node at exactly its flip time and every later
-  branch node doubles as a state-comparison reference.
+* **branch** nodes hang off the trunk node at or before their time and
+  hold golden states the trunk lacks: a digital bit-flip batch needs
+  one at every distinct flip time (each mutant restores the node at
+  exactly its flip time) and at a geometric tail of *convergence
+  horizon* points (every later node doubles as a state-comparison
+  reference).
+
+A golden state at time *t* depends on *t* alone, so branch nodes are
+**memoised** rather than rebuilt per batch.  :meth:`CheckpointTree.golden_at`
+returns the node held at exactly *t* — trunk or memo — or else the
+latest node held before *t*; the caller walks the golden trajectory
+forward from that node and hands the state at *t* to
+:meth:`CheckpointTree.memoise`.  The memo keeps at most
+``max_branches`` nodes (campaigns pass their ``max_checkpoints``),
+evicting the least recently used, so peak memory is the cap plus the
+nodes of the one batch in flight.
 
 Branch snapshots are cheap to keep live: a :class:`Snapshot` stores
 trace *lengths*, not sample data, so its footprint is the design's
-state vectors — a few kilobytes for the digital blocks this path
+state vectors — tens of kilobytes for the digital blocks this path
 serves.  The tree tracks how many were created and the peak live count
 so campaign observability can report the real memory shape.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
+from collections import OrderedDict
 
 from .errors import SimulationError
 
@@ -63,14 +74,21 @@ class CheckpointTree:
     """Restore points organised as a tree rooted at the golden t=0 state.
 
     Built by the campaign runner during :meth:`prepare_warm` (trunk)
-    and extended per digital batch (branches); released branches are
-    dropped eagerly so peak memory stays one batch deep.
+    and extended lazily by digital batches (memoised branch nodes).
+
+    :param max_branches: ceiling on memoised branch nodes; past it the
+        least recently used one is released.  None keeps them all.
     """
 
-    def __init__(self):
+    def __init__(self, max_branches=None):
+        if max_branches is not None and max_branches < 1:
+            raise SimulationError("max_branches must be >= 1")
         self.root = None
         self._trunk = []          # CheckpointNode, ascending time
         self._trunk_times = []
+        self.max_branches = max_branches
+        self._memo = OrderedDict()  # time -> branch node, least recent first
+        self._memo_times = []       # the memo's times, ascending
         self.branches_created = 0
         self.branches_live = 0
         self.peak_live = 0
@@ -86,6 +104,9 @@ class CheckpointTree:
         self.root = None
         self._trunk = []
         self._trunk_times = []
+        self._memo.clear()
+        self._memo_times = []
+        self.branches_live = 0
         parent = None
         for time, snapshot in checkpoints:
             kind = ROOT if parent is None else TRUNK
@@ -111,6 +132,41 @@ class CheckpointTree:
         index = bisect_right(self._trunk_times, time)
         return self._trunk[max(index - 1, 0)]
 
+    # -- golden lookup -----------------------------------------------------
+
+    def golden_at(self, time):
+        """The golden node at exactly ``time``, else the latest held before.
+
+        Searches the trunk and the memo (root fallback before t=0); a
+        memoised node it returns becomes the most recently used.
+        """
+        node = self._memo.get(time)
+        if node is None:
+            node = self.trunk_at(time)
+            index = bisect_left(self._memo_times, time)
+            if index and self._memo_times[index - 1] > node.time:
+                node = self._memo[self._memo_times[index - 1]]
+        if node.kind == BRANCH:
+            self._memo.move_to_end(node.time)
+        return node
+
+    def memoise(self, time, snapshot):
+        """Hold the golden ``snapshot`` captured at ``time`` as a branch node.
+
+        The node hangs off the trunk node at or before ``time``; when
+        the memo is full its least recently used node is released
+        first.
+        """
+        parent = self.trunk_at(time)
+        if time in self._memo or parent.time == time:
+            raise SimulationError(f"a golden node at t={time} is already held")
+        if self.max_branches is not None and len(self._memo) >= self.max_branches:
+            self.release(next(iter(self._memo.values())))
+        node = self.branch(parent, time, snapshot)
+        self._memo[time] = node
+        insort(self._memo_times, time)
+        return node
+
     # -- branches ----------------------------------------------------------
 
     def branch(self, parent, time, snapshot):
@@ -129,19 +185,20 @@ class CheckpointTree:
         """Drop a branch subtree (frees its snapshots for GC)."""
         if node.kind != BRANCH:
             raise SimulationError("only branch nodes can be released")
-        dropped = 1 + self._count(node)
+        dropped = 0
+        pending = [node]
+        while pending:
+            member = pending.pop()
+            pending.extend(member.children)
+            dropped += 1
+            if self._memo.get(member.time) is member:
+                del self._memo[member.time]
+                self._memo_times.remove(member.time)
         if node.parent is not None:
             node.parent.children.remove(node)
         node.parent = None
         self.branches_live -= dropped
         return dropped
-
-    @staticmethod
-    def _count(node):
-        total = 0
-        for child in node.children:
-            total += 1 + CheckpointTree._count(child)
-        return total
 
     def stats(self):
         """Counters for campaign observability."""

@@ -85,6 +85,10 @@ DEFAULT_HELLO_TIMEOUT_S = 30.0
 #: Malformed frames tolerated from one peer before it is disconnected.
 MAX_FRAME_REJECTS = 8
 
+#: Seconds a stopping one-shot coordinator waits for drained workers
+#: to hang up before it closes their sockets anyway.
+DRAIN_GRACE_S = 2.0
+
 
 class CoordinatorError(ReproError):
     """Raised for invalid coordinator usage or aborted jobs."""
@@ -598,17 +602,51 @@ class Coordinator:
         """Run the event loop until :meth:`stop` (blocking)."""
         try:
             while not self._stop.is_set():
-                for key, _events in self._selector.select(poll_s):
-                    if key.data is None:
-                        self._accept()
-                    else:
-                        self._service_peer(key.data)
+                self._poll(poll_s)
                 with self._lock:
                     self._expire_leases()
                     self._reap_idle_peers()
                     self._maybe_drain()
+            self._drain_fleet(poll_s)
         finally:
             self._shutdown_sockets()
+
+    def _poll(self, timeout):
+        for key, _events in self._selector.select(timeout):
+            if key.data is None:
+                self._accept()
+            else:
+                self._service_peer(key.data)
+
+    def _drain_fleet(self, poll_s):
+        """Drain every connected worker before the sockets close.
+
+        A worker that finished the last shard as its job completed can
+        still have a ``lease_request`` in flight.  Closing its socket
+        would hand it an EOF, which looks like a coordinator crash and
+        sends it into reconnect backoff.  So in one-shot mode, with
+        every job terminal, each worker gets ``drain`` and the loop
+        keeps reading until the workers hang up (at most
+        :data:`DRAIN_GRACE_S`).  A coordinator stopped with work still
+        running closes as before, and its workers reconnect.
+        """
+        with self._lock:
+            if not (self._drain_when_idle and self._all_terminal()):
+                return
+            for peer in list(self._peers.values()):
+                if peer.role == "worker":
+                    self._send(peer, "drain")
+                    peer.waiting = False
+        deadline = monotonic() + DRAIN_GRACE_S
+        while any(peer.role == "worker" for peer in self._peers.values()):
+            remaining = deadline - monotonic()
+            if remaining <= 0:
+                LOGGER.warning(
+                    "closing sockets of workers that did not hang up "
+                    "within %.1fs of drain", DRAIN_GRACE_S,
+                )
+                return
+            self._poll(min(poll_s, remaining))
 
     def start(self):
         """Run :meth:`serve` in a background thread (tests, embedding)."""

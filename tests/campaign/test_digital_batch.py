@@ -28,6 +28,8 @@ from repro.digital import Bus, ClockGen, Counter, LFSR, ParityGen, ShiftRegister
 from repro.faults import BitFlip, SETPulse
 from repro.store import CampaignStore
 
+from .test_warm_start import pll_factory
+
 CLK_PERIOD = 10e-9
 
 
@@ -189,6 +191,87 @@ class TestDigitalBatchEquivalence:
         stats = batched.execution["batch"]
         assert stats["batches"] == 0
         assert stats["scalar_runs"] == len(spec.faults)
+
+
+class TestGoldenNodeMemo:
+    """Golden nodes come from the checkpoint tree's memo, never stale.
+
+    Batches look up their flip-time and horizon nodes by time and walk
+    the golden trajectory only from the latest node held; the nodes
+    they capture serve later batches.  Whatever the memo holds or has
+    evicted, every row must equal the scalar reference.
+    """
+
+    def test_forced_eviction_matches_scalar(self):
+        """A two-node memo churns inside multi-flip-time batches."""
+        spec = shiftreg_spec(times=[205e-9 + 30e-9 * k for k in range(8)])
+        scalar = run_campaign(shiftreg_factory, spec, warm_start=True)
+        batched = run_campaign(
+            shiftreg_factory, spec, batch="digital", max_checkpoints=2
+        )
+        assert_same_outcome(scalar, batched)
+        stats = batched.execution["batch"]
+        assert stats["batched_runs"] == len(spec.faults)
+        assert stats["digital_batches"] < 8  # batches span flip times
+        assert stats["branch_peak_live"] == 2
+        assert stats["branch_snapshots"] > stats["branch_peak_live"]
+
+    def test_sampled_chunks_revisit_memoised_nodes(self, tmp_path):
+        """Chunks revisit flip times; rows equal the exhaustive run's."""
+        times = [205e-9 + 20e-9 * k for k in range(6)]
+        faults = exhaustive_bitflips(
+            [f"top/sr1.q[{i}]" for i in range(8)], times
+        )
+        spec = CampaignSpec(
+            name="sr-memo", faults=faults, t_end=2e-6, outputs=["parity"]
+        )
+        identity = ("key", "status", "label", "classification",
+                    "comparisons")
+
+        def rows(name, **kwargs):
+            with CampaignStore(tmp_path / f"{name}.db") as store:
+                result = run_campaign(
+                    shiftreg_factory, spec, batch="digital", store=store,
+                    **kwargs,
+                )
+                stored = store.run_rows(store.campaign_id(spec.name))
+            return result, {
+                row["idx"]: tuple(row[key] for key in identity)
+                for row in stored if row["status"] == "ok"
+            }
+
+        exhaustive, full = rows("exhaustive")
+        sampled, drawn = rows("sampled", sample=True, margin=0.05, chunk=8)
+        sampling = sampled.execution["sampling"]
+        assert sampling["chunks"] > 1
+        assert 0 < len(drawn) < len(spec.faults)
+        assert drawn == {index: full[index] for index in drawn}
+        stats = sampled.execution["batch"]
+        assert stats["digital_batches"] > len(times)  # revisits
+        # Revisited flip times hit the memo instead of re-walking.
+        assert stats["branch_snapshots"] \
+            <= exhaustive.execution["batch"]["branch_snapshots"]
+
+    @pytest.mark.parametrize("max_checkpoints", [None, 2])
+    def test_mixed_signal_pll_flips_match_scalar(self, max_checkpoints):
+        """Bit-flips in a PLL's divider and PFD, analog loop running."""
+        sites = ["pll/pfd.up", "pll/pfd.down"] + [
+            f"pll/divider.count[{i}]" for i in range(4)
+        ]
+        spec = CampaignSpec(
+            name="pll-flips",
+            faults=exhaustive_bitflips(sites, [1.03e-6, 1.51e-6, 2.07e-6]),
+            t_end=3e-6, outputs=["vctrl", "fout"], analog_tolerance=0.02,
+        )
+        scalar = run_campaign(pll_factory, spec, warm_start=True)
+        batched = run_campaign(
+            pll_factory, spec, batch="digital",
+            max_checkpoints=max_checkpoints,
+        )
+        assert_same_outcome(scalar, batched)
+        stats = batched.execution["batch"]
+        assert stats["batched_runs"] == len(spec.faults)
+        assert stats["fallbacks"] == 0
 
 
 class TestDigitalBatchSupervision:

@@ -198,6 +198,14 @@ class TestPhaseProfiling:
         assert phases["restore"] > 0.0
         assert phases["step"] > 0.0
 
+    def test_batched_digital_accrues_restore_and_step(self):
+        """Golden walks and node restores are restore; mutants are step."""
+        result = run_campaign(factory, make_spec(), batch="digital")
+        assert result.execution["batch"]["scalar_runs"] == 0
+        phases = result.execution["phases"]
+        assert phases["restore"] > 0.0
+        assert phases["step"] > 0.0
+
     def test_phases_reach_the_metrics_registry(self):
         metrics.enable()
         run_campaign(factory, make_spec())

@@ -21,8 +21,15 @@ import time
 
 import pytest
 
-from repro.campaign import run_campaign
-from repro.dist import Coordinator, spawn_local_workers
+from repro.campaign import run_campaign, to_csv
+from repro.dist import (
+    Coordinator,
+    CoordinatorLost,
+    local,
+    run_distributed,
+    spawn_local_workers,
+    worker,
+)
 from repro.obs.journal import close_journal, open_journal
 from repro.store import CampaignStore
 
@@ -164,3 +171,74 @@ class TestDistributedCampaign:
         # reassigned shard never reach the journal either.
         assert kinds.count("run_finished") == 12
         assert kinds[-1] == "campaign_finished"
+
+
+@needs_fork
+class TestFleetShutdown:
+    """``run_distributed`` drains its workers instead of cutting them off.
+
+    A worker that completes the last shard sends its next
+    ``lease_request`` as the job finishes.  If the coordinator closed
+    the socket under that request, the worker would read EOF, enter
+    reconnect backoff, and ``run_distributed`` would wait out its 10-s
+    join.  Half of the runs below make every worker linger after each
+    shard, so the request lands after the job is complete, every time.
+    """
+
+    RUNS = 4
+    #: Seconds from the job result to every worker having exited.
+    JOIN_LIMIT_S = 3.0
+
+    def test_workers_exit_cleanly_right_after_the_result(
+        self, tmp_path, monkeypatch
+    ):
+        spawned = []
+        finished = []
+        marker = tmp_path / "reconnects"
+        spawn = local.spawn_local_workers
+        wait = Coordinator.wait
+        run_shard = worker._run_leased_shard
+        linger = {"s": 0.0}
+
+        def recording_spawn(*args, **kwargs):
+            processes = spawn(*args, **kwargs)
+            spawned.append(processes)
+            return processes
+
+        def timed_wait(self, *args, **kwargs):
+            status = wait(self, *args, **kwargs)
+            finished.append(time.monotonic())
+            return status
+
+        def lingering_shard(*args, **kwargs):
+            done = run_shard(*args, **kwargs)
+            time.sleep(linger["s"])
+            return done
+
+        def no_reconnect(link):
+            # Runs in the forked worker: leave evidence and give up at
+            # once rather than back off.
+            with open(marker, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            raise CoordinatorLost("reconnect attempted")
+
+        monkeypatch.setattr(local, "spawn_local_workers", recording_spawn)
+        monkeypatch.setattr(Coordinator, "wait", timed_wait)
+        monkeypatch.setattr(worker, "_run_leased_shard", lingering_shard)
+        monkeypatch.setattr(
+            worker.CoordinatorLink, "_reconnect_locked", no_reconnect
+        )
+        spec = make_spec()
+        reference = to_csv(run_campaign(factory, spec))
+        for attempt in range(self.RUNS):
+            linger["s"] = 0.3 if attempt % 2 else 0.0
+            result = run_distributed(
+                factory, spec, workers=2, shard_size=3,
+                store_path=tmp_path / f"run{attempt}.db",
+            )
+            joined = time.monotonic() - finished[-1]
+            assert to_csv(result) == reference
+            processes = spawned[-1]
+            assert [p.exitcode for p in processes] == [0, 0], attempt
+            assert joined < self.JOIN_LIMIT_S, (attempt, joined)
+            assert not marker.exists(), marker.read_text()
