@@ -36,6 +36,7 @@ import logging
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter, sleep
 
 from ..core.budget import NumericalGuard, RunBudget
@@ -66,7 +67,12 @@ from .classify import (
 from .compare import ComparisonGridCache, compare_probe_sets
 from .faultlist import batch_key, digital_batch_key
 from .results import CampaignResult, CampaignRunError, FaultResult
-from .sampling import DEFAULT_CHUNK, StratifiedSampler, stored_outcomes
+from .sampling import (
+    DEFAULT_CHUNK,
+    ExhaustivePlan,
+    StratifiedSampler,
+    stored_outcomes,
+)
 from .supervisor import RetryPolicy, WorkerSupervisor, set_worker_phase
 
 LOGGER = logging.getLogger("repro.campaign")
@@ -176,6 +182,7 @@ class CampaignRunner:
         self._warm = None
         # Supervision config, set per run() call; faulty runs are
         # armed with these, golden runs never are.
+        self._warm_start = False
         self._budget = None
         self._guard = None
         self._retry = None
@@ -1062,7 +1069,7 @@ class CampaignRunner:
         stats["scalar_runs"] += len(remaining)
         if remaining:
             registry.inc("campaign.runs.scalar", len(remaining))
-        for outcome in self._serial_outcomes(remaining, True, on_error):
+        for outcome in self._serial_outcomes(remaining, on_error):
             yield outcome
             # One row per transaction on the scalar tail — the same
             # crash-durability record_run gives unbatched campaigns.
@@ -1121,7 +1128,7 @@ class CampaignRunner:
 
     # -- outcome streams ---------------------------------------------------------
 
-    def _serial_outcomes(self, pending, warm_start, on_error):
+    def _serial_outcomes(self, pending, on_error):
         """Yield ``(index, ok, payload, wall_s, attempts)`` per fault.
 
         ``payload`` is the ``(probes, metrics, events)`` tuple on
@@ -1154,7 +1161,7 @@ class CampaignRunner:
                     ):
                         payload = (
                             self.run_fault_warm(fault)
-                            if warm_start
+                            if self._warm_start
                             else self._execute_one(fault)
                         )
                 except Exception as exc:
@@ -1176,8 +1183,7 @@ class CampaignRunner:
                 yield index, True, payload, perf_counter() - wall_start, attempt
                 break
 
-    def _parallel_outcomes(self, pending, workers, warm_start, on_error,
-                           context):
+    def _parallel_outcomes(self, pending, workers, on_error, context):
         """Stream supervised worker outcomes as they complete.
 
         Workers are forked (inheriting the factory, hooks and — warm —
@@ -1190,10 +1196,9 @@ class CampaignRunner:
         an interrupt loses at most the results still in flight.
         """
         global _ACTIVE_RUNNER
-        body = _worker_execute_warm if warm_start else _worker_execute
         supervisor = WorkerSupervisor(
             context,
-            body,
+            _worker_execute,
             workers,
             retry=self._retry if on_error == "collect" else None,
             deadline_s=(
@@ -1212,48 +1217,43 @@ class CampaignRunner:
         finally:
             _ACTIVE_RUNNER = None
 
-    def _sampled_outcomes(self, sampler, warm_start, on_error, batch,
-                          batch_mode):
-        """Outcome stream driven by a :class:`StratifiedSampler`.
+    def _planned_outcomes(self, plan, execute, sampled):
+        """The campaign's outcome stream: ``plan``'s chunks, in order.
 
-        Chunks are drawn, simulated through the ordinary serial or
-        batched inner stream, and closed with
-        :meth:`~repro.campaign.sampling.StratifiedSampler.finish_chunk`
-        — which is legal here because the parent consumer records each
-        outcome into the sampler *before* this generator resumes (the
-        same feedback discipline batched mode uses for store flushes).
-        The stream ends the moment the pooled interval converges or
-        the population runs dry.
+        Every campaign is driven by a chunk plan — an
+        :class:`~repro.campaign.sampling.ExhaustivePlan` holding one
+        chunk of every pending fault, or a :class:`StratifiedSampler`.
+        Each chunk's pending faults run on ``execute``, the serial,
+        batched or fork-pool stream picked once for the campaign, and
+        the chunk is closed with ``finish_chunk`` — legal here because
+        the parent consumer records each outcome into the plan
+        *before* this generator resumes (the same feedback discipline
+        batched mode uses for store flushes).  A sampled stream ends
+        the moment the pooled interval converges or the population
+        runs dry; only a sampled stream journals its chunks and stop.
         """
-        journal_on = _journal.JOURNAL.enabled
+        journal_on = sampled and _journal.JOURNAL.enabled
         while True:
-            chunk = sampler.next_chunk()
+            chunk = plan.next_chunk()
             if chunk is None:
                 break
             if journal_on:
                 _journal.emit(
                     "sample_chunk", chunk=chunk.ident,
                     round=chunk.round_index, size=len(chunk.indices),
-                    pending=len(chunk.pending), trials=sampler.trials,
+                    pending=len(chunk.pending), trials=plan.trials,
                 )
-            pending = list(chunk.pending)
-            if pending:
-                inner = (
-                    self._batched_outcomes(pending, on_error, batch_mode)
-                    if batch
-                    else self._serial_outcomes(pending, warm_start, on_error)
-                )
-                for outcome in inner:
-                    yield outcome
-            if sampler.finish_chunk(chunk):
+            if chunk.pending:
+                yield from execute(list(chunk.pending))
+            if plan.finish_chunk(chunk):
                 break
-        if sampler.finished:
-            estimate, (low, high) = sampler.pooled()
+        if sampled and plan.finished:
+            estimate, (low, high) = plan.pooled()
             _journal.emit(
-                "sampling_stopped", reason=sampler.reason,
-                trials=sampler.trials, estimate=estimate,
+                "sampling_stopped", reason=plan.reason,
+                trials=plan.trials, estimate=estimate,
                 half_width=(high - low) / 2.0,
-                skipped=sampler.population - sampler.simulated,
+                skipped=plan.population - plan.simulated,
             )
 
     # -- the campaign -----------------------------------------------------------
@@ -1294,8 +1294,11 @@ class CampaignRunner:
             detected, attributed and replaced).  Comparison,
             classification and store writes always happen in the
             parent — the single writer — against the one golden run,
-            streaming as results arrive.  Without ``fork`` the
-            campaign logs a warning and runs serially.
+            streaming as results arrive.  Sampled campaigns run each
+            chunk on the pool.  Runs stay serial, and record
+            ``execution["workers"] == 1``, in batched mode and without
+            ``fork`` (both logged as warnings) and with at most one
+            pending fault.
         :param warm_start: restore golden checkpoints instead of
             re-simulating each fault from t=0 (see the module
             docstring for semantics and caveats).
@@ -1367,9 +1370,10 @@ class CampaignRunner:
             half-width drops to ``margin`` at ``confidence`` (see
             :mod:`repro.campaign.sampling`).  Faults never simulated
             get ``skipped`` store rows; the sampling estimate lands in
-            ``result.execution["sampling"]``.  Requires serial (or
-            batched) execution — ``workers`` is ignored with a
-            warning.
+            ``result.execution["sampling"]``.  Each chunk runs on the
+            campaign's executor — serial, batched or the ``workers``
+            fork pool — and closes before the next is drawn, so the
+            stored rows do not depend on the executor.
         :param margin: requested half-width of the pooled interval
             (e.g. ``0.005`` = ±0.5%).  Required with ``sample`` unless
             resuming a campaign whose store already holds a sampling
@@ -1407,6 +1411,7 @@ class CampaignRunner:
 
         if budget is None and (timeout is not None or event_budget is not None):
             budget = RunBudget(max_wall_s=timeout, max_events=event_budget)
+        self._warm_start = warm_start
         self._budget = budget
         self._guard = NumericalGuard() if guard is _DEFAULT_GUARD else guard
         if retry is None and on_error == "collect":
@@ -1445,7 +1450,6 @@ class CampaignRunner:
                     _journal.JOURNAL.session_offset,
                 )
 
-        sampler = None
         if store is not None and resume and not sample:
             # A stored sampling configuration makes --resume continue
             # the sampled campaign without restating the flags.
@@ -1479,7 +1483,7 @@ class CampaignRunner:
                     stored_map = stored_outcomes(
                         store.run_rows(campaign_id)
                     )
-            sampler = StratifiedSampler(
+            plan = StratifiedSampler(
                 self.spec.faults,
                 margin=margin,
                 confidence=confidence,
@@ -1495,6 +1499,13 @@ class CampaignRunner:
             pending = [
                 index for index in range(total) if index not in replayed
             ]
+        else:
+            # One chunk of every pending fault, so batch planning sees
+            # the whole list; faults the store settled replay as done.
+            plan = ExhaustivePlan(
+                total, chunk=max(total, 1),
+                stored=dict.fromkeys(set(range(total)).difference(pending)),
+            )
 
         if warm_start:
             warm = self.prepare_warm(checkpoint_every, max_checkpoints)
@@ -1510,13 +1521,6 @@ class CampaignRunner:
             store.check_golden(campaign_id, golden_probes)
 
         parallel = workers is not None and workers > 1 and len(pending) > 1
-        if sampler is not None and parallel:
-            LOGGER.warning(
-                "adaptive sampling evaluates convergence at chunk "
-                "boundaries in draw order; running serially — ignoring "
-                "workers=%d (use repro.dist for sampled fan-out)", workers,
-            )
-            parallel = False
         if batch and parallel:
             LOGGER.warning(
                 "batched execution requested with workers=%d; batching "
@@ -1534,30 +1538,30 @@ class CampaignRunner:
                     "falling back to serial execution", workers,
                 )
                 parallel = False
+        workers = workers if parallel else 1
         mode = "batched" if batch else ("warm" if warm_start else "cold")
-        if sampler is not None:
+        if sample:
             mode = f"sampled-{mode}"
         _journal.emit(
             "campaign_started", name=self.spec.name, total=total,
-            pending=len(pending), mode=mode,
-            workers=workers if parallel else 1, resume=bool(resume),
+            pending=len(pending), mode=mode, workers=workers,
+            resume=bool(resume),
         )
-        if parallel:
+        if batch:
+            execute = partial(
+                self._batched_outcomes, on_error=on_error, mode=batch_mode
+            )
+        elif parallel:
             self._worker_monitor = self._build_worker_monitor(
                 store, campaign_id
             )
-        if sampler is not None:
-            outcomes = self._sampled_outcomes(
-                sampler, warm_start, on_error, batch, batch_mode
-            )
-        elif batch:
-            outcomes = self._batched_outcomes(pending, on_error, batch_mode)
-        elif parallel:
-            outcomes = self._parallel_outcomes(
-                pending, workers, warm_start, on_error, context
+            execute = partial(
+                self._parallel_outcomes, workers=workers, on_error=on_error,
+                context=context,
             )
         else:
-            outcomes = self._serial_outcomes(pending, warm_start, on_error)
+            execute = partial(self._serial_outcomes, on_error=on_error)
+        outcomes = self._planned_outcomes(plan, execute, sampled=sample)
 
         registry = _metrics.REGISTRY
         result = CampaignResult(self.spec, golden_probes=golden_probes)
@@ -1588,16 +1592,13 @@ class CampaignRunner:
         try:
             for index, ok, payload, wall_s, attempts in outcomes:
                 fault = self.spec.faults[index]
-                stratum = (
-                    sampler.stratum_of(index) if sampler is not None else None
-                )
+                stratum = plan.stratum_of(index)
                 retried += attempts - 1
                 if not ok:
                     exc, status = payload
-                    if sampler is not None:
-                        # Failed runs are excluded from estimate
-                        # trials but still consume their draw.
-                        sampler.record(index, None)
+                    # Failed runs are excluded from estimate trials but
+                    # still consume their draw.
+                    plan.record(index, None)
                     if on_error == "raise":
                         raise exc
                     quarantined = (
@@ -1644,8 +1645,7 @@ class CampaignRunner:
                 )
                 phases["classify"] += perf_counter() - classify_start
                 new_runs[index] = run_result
-                if sampler is not None:
-                    sampler.record(index, run_result.label != SILENT)
+                plan.record(index, run_result.label != SILENT)
                 registry.inc("campaign.runs")
                 registry.inc(f"campaign.class.{run_result.label}")
                 registry.observe("campaign.run_wall_s", wall_s)
@@ -1676,14 +1676,14 @@ class CampaignRunner:
             registry.inc("campaign.retried_runs", retried)
         session_error_indices = {err.index for err in errors}
 
-        if sampler is not None and sampler.finished and store is not None:
+        if sample and plan.finished and store is not None:
             # One transaction marks everything the early stop saved:
             # "skipped" rows are distinguishable from "not sampled"
             # (no row at all — the campaign died before converging).
             write_start = perf_counter()
             store.record_skipped(campaign_id, [
-                (index, sampler.stratum_of(index))
-                for index in sampler.skipped_indices()
+                (index, plan.stratum_of(index))
+                for index in plan.skipped_indices()
             ])
             phases["store_write"] += perf_counter() - write_start
 
@@ -1711,7 +1711,7 @@ class CampaignRunner:
 
         result.execution = {
             "mode": mode,
-            "workers": workers or 1,
+            "workers": workers,
             "checkpoints": checkpoints,
             "golden_events": golden_events,
             "fault_events": fault_events,
@@ -1727,11 +1727,9 @@ class CampaignRunner:
             "quarantined": sum(1 for err in errors if err.quarantined),
         }
         if warm_start:
-            attempted = pending
-            if sampler is not None:
-                # Only the faults this session actually simulated say
-                # anything about checkpoint reuse.
-                attempted = sorted(set(new_runs) | session_error_indices)
+            # Only the faults this session actually simulated say
+            # anything about checkpoint reuse.
+            attempted = set(new_runs) | session_error_indices
             hits = sum(
                 1
                 for index in attempted
@@ -1746,8 +1744,8 @@ class CampaignRunner:
                 self._batch_stats,
                 branch_peak_live=self._warm["tree"].peak_live,
             )
-        if sampler is not None:
-            result.execution["sampling"] = sampler.summary()
+        if sample:
+            result.execution["sampling"] = plan.summary()
         # Per-phase wall-time breakdown.  restore/step accrue inside
         # the process that simulates — the parent for serial and
         # batched campaigns; forked workers (whose accumulators die
@@ -1789,8 +1787,9 @@ def _picklable(exc):
 def _worker_execute(index):
     """Worker body: run fault ``index`` of the inherited runner.
 
-    Failures classify *inside the worker* (on the original exception,
-    before any lossy pickling fallback) and ship as an
+    Warm campaigns restore a golden checkpoint, cold ones rebuild the
+    design.  Failures classify *inside the worker* (on the original
+    exception, before any lossy pickling fallback) and ship as an
     ``(exception, status)`` payload — after the worker dumps its own
     flight recorder, which only it holds; the parent locates the dump
     by its deterministic path.
@@ -1799,7 +1798,10 @@ def _worker_execute(index):
     runner = _ACTIVE_RUNNER
     fault = runner.spec.faults[index]
     try:
-        payload = runner._execute_one(fault)
+        payload = (
+            runner.run_fault_warm(fault) if runner._warm_start
+            else runner._execute_one(fault)
+        )
     except Exception as exc:
         status = classify_failure(exc)
         runner._dump_postmortem(index, fault, status, exc, None)
@@ -1810,75 +1812,12 @@ def _worker_execute(index):
     return index, True, payload, perf_counter() - wall_start
 
 
-def _worker_execute_warm(index):
-    """Worker body: warm-start fault ``index`` from a checkpoint."""
-    wall_start = perf_counter()
-    runner = _ACTIVE_RUNNER
-    fault = runner.spec.faults[index]
-    try:
-        payload = runner.run_fault_warm(fault)
-    except Exception as exc:
-        status = classify_failure(exc)
-        runner._dump_postmortem(index, fault, status, exc, None)
-        return (
-            index, False, (_picklable(exc), status),
-            perf_counter() - wall_start,
-        )
-    return index, True, payload, perf_counter() - wall_start
+def run_campaign(factory, spec, metric_hooks=(), progress=None, **options):
+    """Convenience wrapper: build a runner and run it.
 
-
-def run_campaign(
-    factory,
-    spec,
-    metric_hooks=(),
-    progress=None,
-    workers=None,
-    warm_start=False,
-    batch=False,
-    checkpoint_every=None,
-    max_checkpoints=None,
-    store=None,
-    resume=False,
-    on_error="raise",
-    timeout=None,
-    event_budget=None,
-    budget=None,
-    guard=_DEFAULT_GUARD,
-    retries=None,
-    retry=None,
-    retry_quarantined=False,
-    postmortem_dir=None,
-    sample=False,
-    margin=None,
-    confidence=0.95,
-    sample_seed=0,
-    strata="site-phase",
-    chunk=None,
-):
-    """Convenience wrapper: build a runner and run it."""
+    ``options`` are the keyword arguments of :meth:`CampaignRunner.run`
+    (see there for every parameter); unknown ones raise ``TypeError``.
+    """
     return CampaignRunner(
         factory, spec, metric_hooks=metric_hooks, progress=progress
-    ).run(
-        workers=workers,
-        warm_start=warm_start,
-        batch=batch,
-        checkpoint_every=checkpoint_every,
-        max_checkpoints=max_checkpoints,
-        store=store,
-        resume=resume,
-        on_error=on_error,
-        timeout=timeout,
-        event_budget=event_budget,
-        budget=budget,
-        guard=guard,
-        retries=retries,
-        retry=retry,
-        retry_quarantined=retry_quarantined,
-        postmortem_dir=postmortem_dir,
-        sample=sample,
-        margin=margin,
-        confidence=confidence,
-        sample_seed=sample_seed,
-        strata=strata,
-        chunk=chunk,
-    )
+    ).run(**options)

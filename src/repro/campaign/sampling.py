@@ -42,6 +42,12 @@ The pooled estimate is the population-weighted stratified estimator
 effective sample size ``p(1-p) / Var(p)``, which reduces exactly to
 the plain Wilson interval when sampling is proportional (and always
 when there is a single stratum).
+
+Exhaustive campaigns are the degenerate case: :class:`ExhaustivePlan`
+hands out every fault in index order through the same chunk protocol
+(``next_chunk`` / ``record`` / ``finish_chunk`` / ``stratum_of`` /
+``finished``), with no strata and no early stop, so the runner and the
+distributed coordinator drive every campaign one way.
 """
 
 from __future__ import annotations
@@ -185,6 +191,107 @@ class SampleChunk:
     pending: tuple = ()
 
 
+class _ChunkBook:
+    """Outstanding-chunk bookkeeping shared by both chunk plans.
+
+    Subclasses keep ``_stored`` (``index -> outcome`` still to replay),
+    ``_recorded`` (indices with an outcome) and ``_outstanding``
+    (``ident -> chunk`` handed out, not yet finished).
+    """
+
+    def _hand_out(self, chunk):
+        """Replay stored outcomes into ``chunk`` and mark it outstanding."""
+        pending = []
+        for index in chunk.indices:
+            if index in self._stored:
+                self.record(index, self._stored.pop(index))
+            else:
+                pending.append(index)
+        chunk.pending = tuple(pending)
+        self._outstanding[chunk.ident] = chunk
+        return chunk
+
+    def _close(self, chunk):
+        """Retire ``chunk``: in chunk order, with every outcome recorded."""
+        if chunk.ident not in self._outstanding:
+            raise CampaignError(
+                f"chunk {chunk.ident} is not outstanding"
+            )
+        if min(self._outstanding) != chunk.ident:
+            raise CampaignError(
+                f"chunk {chunk.ident} finished out of order "
+                f"(chunk {min(self._outstanding)} still open)"
+            )
+        missing = [i for i in chunk.indices if i not in self._recorded]
+        if missing:
+            raise CampaignError(
+                f"chunk {chunk.ident} finished with unrecorded "
+                f"outcomes: {missing[:5]}"
+            )
+        del self._outstanding[chunk.ident]
+
+
+class ExhaustivePlan(_ChunkBook):
+    """Every fault in index order: the degenerate sampler.
+
+    Chunk ``k`` holds indices ``[k * chunk, (k + 1) * chunk)`` (the
+    last one may be shorter).  There are no strata and no early stop;
+    the plan is :attr:`finished` once its last chunk is.  Chunks can be
+    handed out all at once — nothing waits on earlier outcomes — but
+    they still finish strictly in order.
+
+    :param population: number of faults in the campaign.
+    :param chunk: faults per chunk.
+    :param stored: optional ``index -> outcome`` map of faults that need
+        no simulation, replayed as their chunk is handed out (the same
+        replay :class:`StratifiedSampler` does).
+    """
+
+    def __init__(self, population, chunk=DEFAULT_CHUNK, stored=None):
+        if chunk < 1:
+            raise CampaignError("chunk must be >= 1")
+        self.population = int(population)
+        self.chunk = int(chunk)
+        self._stored = dict(stored or {})
+        self._recorded = set()
+        self._outstanding = {}
+        self._next = 0
+
+    @property
+    def finished(self):
+        """Every chunk was handed out and finished."""
+        return (
+            self._next * self.chunk >= self.population
+            and not self._outstanding
+        )
+
+    def stratum_of(self, index):
+        """Exhaustive campaigns have no strata."""
+        return None
+
+    def record(self, index, outcome):
+        """Record that fault ``index`` has its outcome."""
+        self._recorded.add(index)
+
+    def next_chunk(self):
+        """The next chunk in index order, or None once all are out."""
+        start = self._next * self.chunk
+        if start >= self.population:
+            return None
+        stop = min(start + self.chunk, self.population)
+        chunk = SampleChunk(
+            ident=self._next, round_index=0,
+            indices=tuple(range(start, stop)),
+        )
+        self._next += 1
+        return self._hand_out(chunk)
+
+    def finish_chunk(self, chunk):
+        """Retire a chunk (in chunk order); True once the plan finished."""
+        self._close(chunk)
+        return self.finished
+
+
 @dataclass
 class _Stratum:
     label: str
@@ -213,7 +320,7 @@ class _Stratum:
         return self.errors / self.trials if self.trials else 0.0
 
 
-class StratifiedSampler:
+class StratifiedSampler(_ChunkBook):
     """Stratified adaptive sampler with Wilson early stopping.
 
     :param faults: the campaign's fault list (the population).
@@ -457,16 +564,7 @@ class StratifiedSampler:
             if not self._queue:
                 self._finish("exhausted")
                 return None
-        chunk = self._queue.popleft()
-        pending = []
-        for index in chunk.indices:
-            if index in self._stored:
-                self.record(index, self._stored.pop(index))
-            else:
-                pending.append(index)
-        chunk.pending = tuple(pending)
-        self._outstanding[chunk.ident] = chunk
-        return chunk
+        return self._hand_out(self._queue.popleft())
 
     def finish_chunk(self, chunk):
         """Evaluate convergence after a chunk's outcomes are recorded.
@@ -475,22 +573,7 @@ class StratifiedSampler:
         ``< k``); raises if any of the chunk's outcomes is missing.
         Returns True when the campaign has stopped.
         """
-        if chunk.ident not in self._outstanding:
-            raise CampaignError(
-                f"chunk {chunk.ident} is not outstanding"
-            )
-        if self._outstanding and min(self._outstanding) != chunk.ident:
-            raise CampaignError(
-                f"chunk {chunk.ident} finished out of order "
-                f"(chunk {min(self._outstanding)} still open)"
-            )
-        missing = [i for i in chunk.indices if i not in self._recorded]
-        if missing:
-            raise CampaignError(
-                f"chunk {chunk.ident} finished with unrecorded "
-                f"outcomes: {missing[:5]}"
-            )
-        del self._outstanding[chunk.ident]
+        self._close(chunk)
         for s in self._strata.values():
             if not s.converged and s.trials > 0:
                 hw = interval_half_width(
@@ -512,15 +595,6 @@ class StratifiedSampler:
         self.reason = reason
         self._queue.clear()
         self._outstanding.clear()
-
-    def abandon(self, chunk):
-        """Drop an in-flight chunk after the campaign stopped.
-
-        Used by the distributed coordinator for chunks whose leases
-        were revoked by convergence; their rows are never merged and
-        their faults count as skipped.
-        """
-        self._outstanding.pop(chunk.ident, None)
 
     # -- results -----------------------------------------------------------
 

@@ -7,12 +7,21 @@ design — SQLite wants one writer, lease state wants no races, and a
 fault-injection coordinator spends its life waiting on sockets, not
 computing.
 
-Jobs move through a strict lifecycle::
+Every job moves through one lifecycle, exhaustive or sampled::
 
-    submit (API or in-process) -> shards queued -> leases granted
+    submit (API or in-process) -> chunk plan -> chunks drawn as shards
+        -> shards queued -> leases granted
         -> rows ingested into per-shard databases (crash-durable)
-        -> shard complete -> merged into the final store
-        -> all shards merged -> job complete (execution row written)
+        -> shard complete -> merged into the final store in chunk order
+        -> plan finished -> job complete (execution row written)
+
+The plan is an :class:`~repro.campaign.sampling.ExhaustivePlan` (every
+fault in index order, all chunks drawn at submit) or a
+:class:`~repro.campaign.sampling.StratifiedSampler` (chunks drawn round
+by round, stopping early once its interval closes); shard ``k`` is
+chunk ``k`` either way.  Merging strictly in chunk order is what makes
+the final store — and a sampler's convergence decisions — identical to
+a single-host run.
 
 Fault tolerance is lease-based, **at-least-once**:
 
@@ -45,6 +54,7 @@ from collections import deque
 from time import monotonic
 
 from ..campaign.sampling import (
+    ExhaustivePlan,
     StratifiedSampler,
     row_outcome,
     stored_outcomes,
@@ -62,7 +72,7 @@ from .protocol import (
     encode_frame,
     make_frame,
 )
-from .shards import DEFAULT_SHARD_SIZE, plan_chunk_shard, plan_shards
+from .shards import DEFAULT_SHARD_SIZE, ShardError, plan_chunk_shard
 
 LOGGER = logging.getLogger("repro.dist")
 
@@ -133,55 +143,49 @@ class _Lease:
 
 
 class _Job:
-    """One submitted campaign: its shards, queue and progress.
+    """One submitted campaign: its chunk plan, shards and progress.
 
-    Exhaustive jobs carry a static shard *list* planned at submit.
-    Sampled jobs (``sampler`` is set) carry a shard *dict* that grows
-    as the sampler draws chunks — shard ``k`` is chunk ``k`` — plus
-    the merge-ordering state that keeps convergence decisions
-    identical to a single-host run: completions buffer in ``ready``
-    until every earlier chunk has merged.
+    ``plan`` is the job's :class:`~repro.campaign.sampling.ExhaustivePlan`
+    or :class:`~repro.campaign.sampling.StratifiedSampler`; ``shards``
+    grows as chunks are drawn (shard ``k`` is chunk ``k``).  Completions
+    buffer in ``ready`` until every earlier chunk has merged, so the
+    plan finishes chunks strictly in order, exactly as in a single-host
+    run.
     """
 
-    def __init__(self, job_id, name, shards, campaign_id, total=None,
-                 sampler=None, sampling=None, plan=None):
+    def __init__(self, job_id, spec, campaign_id, plan, netlist=None,
+                 config=None, sampling=None):
         self.job_id = job_id
-        self.name = name
-        self.shards = shards
+        self.name = spec.name
         self.campaign_id = campaign_id
-        self.sampler = sampler
+        self.plan = plan
         self.sampling = sampling  # submitted sampling config (or None)
-        self.plan = plan          # (base_spec, fault_keys, netlist, config)
+        # The parent spec and fault digests, rendered once: every
+        # chunk shard is cut from them.
+        self.base = spec_to_dict(spec)
+        self.keys = [fault_key(fault) for fault in spec.faults]
+        self.netlist = netlist
+        self.config = config
         self.workers = set()      # names of workers that merged shards
-        self.queue = deque(
-            () if sampler is not None else range(len(shards))
-        )
+        self.shards = {}          # shard_id -> Shard, one per drawn chunk
+        self.chunks = {}          # shard_id -> chunk drawn, not finished
+        self.queue = deque()      # shard ids awaiting a lease
         self.active = {}          # shard_id -> _Lease
+        self.ready = {}           # shard_id -> (worker, frame, outcomes)
         self.merged = set()       # shard ids merged into the final store
         self.failed = set()       # shard ids past the lease ceiling
-        self.lease_counts = (
-            {} if sampler is not None
-            else {s.shard_id: 0 for s in shards}
-        )
+        self.lease_counts = {}
         self.seen_rows = set()    # global fault indices already ingested
-        self.golden = None        # first worker's golden digests
         self.shard_goldens = {}   # shard_id -> that shard's golden digests
         self.executions = []      # per-shard execution stats
-        self.chunks = {}          # chunk ident -> SampleChunk in flight
-        self.ready = {}           # shard_id -> (worker, frame) to merge
-        self.abandoned = set()    # chunk shards dropped by the early stop
         self.merge_cursor = 0     # next chunk ident to finish, in order
-        self.stop_recorded = False
-        self._total = total
         self.state = "running"
         self.done = threading.Event()
         self.wall_start = monotonic()
 
     @property
     def total(self):
-        if self._total is not None:
-            return self._total
-        return self.shards[0].total if self.shards else 0
+        return self.plan.population
 
     def status(self):
         """JSON-ready progress snapshot (the ``job_status`` payload)."""
@@ -197,11 +201,11 @@ class _Job:
             "total": self.total,
             "rows": len(self.seen_rows),
         }
-        if self.sampler is not None:
+        if self.sampling is not None:
             status["sampled"] = True
-            status["trials"] = self.sampler.trials
-            status["half_width"] = self.sampler.half_width()
-            status["stopped"] = self.sampler.reason
+            status["trials"] = self.plan.trials
+            status["half_width"] = self.plan.half_width()
+            status["stopped"] = self.plan.reason
         return status
 
 
@@ -297,39 +301,28 @@ class Coordinator:
 
         :param sampling: optional adaptive-sampling configuration dict
             (``margin`` required; ``confidence``, ``seed``, ``strata``
-            optional).  A sampled job has no static shard plan: the
-            coordinator's stratified sampler draws chunks of
-            ``shard_size`` faults, each chunk runs as one shard, and
-            the job stops — revoking outstanding leases — the moment
-            the pooled Wilson interval closes to the margin.  The
-            sampling config stays coordinator-side; workers execute
-            plain exhaustive shards.
+            optional).  A sampled job's stratified sampler draws chunks
+            of ``shard_size`` faults round by round, and the job stops
+            — revoking outstanding leases — the moment the pooled
+            Wilson interval closes to the margin.  The sampling config
+            stays coordinator-side; workers execute plain exhaustive
+            shards.
+        :raises ShardError: for a spec without faults.
         """
         with self._lock:
-            store = self._final_store()
-            sampler = None
-            plan = None
+            if not spec.faults:
+                raise ShardError(
+                    f"campaign {spec.name!r} has no faults to shard"
+                )
             if sampling is not None:
                 sampling = dict(sampling)
-                sampler = self._build_sampler(spec, sampling)
-                shards = {}
-                plan = (
-                    spec_to_dict(spec),
-                    [fault_key(fault) for fault in spec.faults],
-                    netlist,
-                    dict(config or {}),
-                )
-            else:
-                shards = plan_shards(
-                    spec, shard_size=self.shard_size, netlist=netlist,
-                    config=config,
-                )
+            plan = self._build_plan(spec, sampling)
+            store = self._final_store()
             campaign_id = store.open_campaign(spec, resume=False)
-            if sampler is not None:
+            if sampling is not None:
                 store.record_sampling(
-                    campaign_id, sampler.seed, sampler.margin,
-                    sampler.confidence, sampler.strata_mode,
-                    sampler.chunk,
+                    campaign_id, plan.seed, plan.margin, plan.confidence,
+                    plan.strata_mode, plan.chunk,
                 )
             if _journal.JOURNAL.enabled:
                 store.record_journal(
@@ -338,32 +331,23 @@ class Coordinator:
                 )
             job_id = self._next_job
             self._next_job += 1
-            job = _Job(
-                job_id, spec.name, shards, campaign_id,
-                total=len(spec.faults), sampler=sampler,
-                sampling=sampling, plan=plan,
-            )
+            job = _Job(job_id, spec, campaign_id, plan, netlist=netlist,
+                       config=config, sampling=sampling)
             self._jobs[job_id] = job
+            self._pump(job)
             # Durability point: the ledger line lands (fsynced) before
             # any lease is granted, so a crash at any later moment can
-            # re-plan the identical shards from the recorded spec (a
-            # sampled job's chunks re-draw identically from the
-            # recorded sampling config).
+            # re-draw the identical chunks from the recorded spec and
+            # sampling config.
             self._ledger.record(
                 "job_submitted", job=job_id, name=spec.name,
-                spec=spec_to_dict(spec), netlist=netlist, config=config,
-                shard_size=self.shard_size, shards=len(shards),
+                spec=job.base, netlist=netlist, config=config,
+                shard_size=self.shard_size, shards=len(job.shards),
                 sampling=sampling,
             )
-            if sampler is None:
-                for shard in shards:
-                    store.record_shard(
-                        campaign_id, shard.shard_id, "queued",
-                        n_faults=shard.size, leases=0,
-                    )
             _journal.emit(
                 "job_submitted", job=job_id, name=spec.name,
-                total=len(spec.faults), shards=len(shards),
+                total=len(spec.faults), shards=len(job.shards),
             )
             _journal.emit(
                 "campaign_started", name=spec.name,
@@ -371,21 +355,24 @@ class Coordinator:
                 mode="distributed", workers=0,
             )
             LOGGER.info(
-                "job %d submitted: campaign %r, %d faults%s",
-                job_id, spec.name, len(spec.faults),
-                (" sampled adaptively" if sampler is not None
-                 else f" in {len(shards)} shards"),
+                "job %d submitted: campaign %r, %d faults, %d shards "
+                "drawn", job_id, spec.name, len(spec.faults),
+                len(job.shards),
             )
             self._feed_waiting_workers()
             return job_id
 
-    def _build_sampler(self, spec, sampling, stored=None, chunk=None):
-        """A job's :class:`StratifiedSampler` from its config dict.
+    def _build_plan(self, spec, sampling, stored=None, chunk=None):
+        """A job's chunk plan: exhaustive, or sampled per its config.
 
         The chunk size is the coordinator's ``shard_size`` — one chunk
         is one shard — so a distributed sampled campaign is
         row-identical to a single-host run with ``chunk=shard_size``.
         """
+        chunk = self.shard_size if chunk is None else chunk
+        if sampling is None:
+            return ExhaustivePlan(len(spec.faults), chunk=chunk,
+                                  stored=stored)
         try:
             margin = sampling["margin"]
         except KeyError:
@@ -398,58 +385,9 @@ class Coordinator:
             confidence=sampling.get("confidence", 0.95),
             seed=sampling.get("seed", 0),
             strata=sampling.get("strata", "site-phase"),
-            chunk=self.shard_size if chunk is None else chunk,
+            chunk=chunk,
             stored=stored,
         )
-
-    def _resume_sampled_job(self, store, entry, job_id, spec,
-                            campaign_id):
-        """Rebuild one sampled job from its ledger entry.
-
-        The sampler replays the final store's rows — chunks merged
-        strictly in order before the crash, so the store is a
-        prefix-consistent state of the draw sequence — and re-draws
-        the identical chunks.  Chunk shards re-plan lazily at lease
-        time; shard databases completed before the crash adopt there
-        instead of re-running.  Returns the requeued shard count.
-        """
-        sampler = self._build_sampler(
-            spec, entry.sampling,
-            stored=stored_outcomes(store.run_rows(campaign_id)),
-            chunk=entry.shard_size,
-        )
-        store.record_sampling(
-            campaign_id, sampler.seed, sampler.margin,
-            sampler.confidence, sampler.strata_mode, sampler.chunk,
-        )
-        job = _Job(
-            job_id, spec.name, {}, campaign_id, total=len(spec.faults),
-            sampler=sampler, sampling=entry.sampling,
-            plan=(
-                spec_to_dict(spec),
-                [fault_key(fault) for fault in spec.faults],
-                entry.netlist, dict(entry.config or {}),
-            ),
-        )
-        job.failed = set(entry.failed)
-        job.lease_counts.update(entry.lease_counts)
-        job.seen_rows.update(store.completed_indices(campaign_id))
-        self._jobs[job_id] = job
-        # Drive the replay now: fully stored chunks finish inline
-        # (possibly re-deriving a pre-crash convergence), and the
-        # first chunk that still needs simulation queues for the next
-        # lease request.
-        shard = self._next_sample_shard(job)
-        if shard is not None:
-            job.queue.append(shard.shard_id)
-        LOGGER.info(
-            "job %d (%s) resumed sampled: %d outcomes replayed, %s",
-            job_id, spec.name, sampler.simulated,
-            f"stopped ({sampler.reason})" if sampler.stopped
-            else "continuing",
-        )
-        self._maybe_finish(job)
-        return len(job.queue)
 
     def submit_dict(self, spec_dict, netlist=None, config=None,
                     sampling=None):
@@ -465,14 +403,17 @@ class Coordinator:
         Replays the job ledger and, for every job not recorded
         finished:
 
-        * re-plans the identical shards from the recorded spec (the
-          plan is deterministic);
         * re-attaches to the final store's campaign (``resume``
           semantics — the fault digest must match);
-        * **adopts** every shard whose per-shard database already holds
-          a row for each of its faults — merged idempotently into the
-          final store, never re-run — including shards that completed
-          after the last ledger line landed;
+        * rebuilds the job's chunk plan from the recorded spec and
+          sampling config, replaying the final store's rows into it —
+          chunks merge strictly in order, so the store holds a prefix
+          of the identical chunk sequence;
+        * **adopts** every chunk the final store already holds, or
+          whose per-shard database holds a row for each of its faults
+          — merged idempotently into the final store, never re-run —
+          including shards that completed after the last ledger line
+          landed;
         * requeues the rest for the next lease request, crediting back
           leases that were live at the crash (a coordinator death is
           not the shard's strike);
@@ -506,64 +447,35 @@ class Coordinator:
                     continue
                 spec = spec_from_dict(entry.spec)
                 campaign_id = store.open_campaign(spec, resume=True)
+                plan = self._build_plan(
+                    spec, entry.sampling,
+                    stored=stored_outcomes(store.run_rows(campaign_id)),
+                    chunk=entry.shard_size,
+                )
                 if entry.sampling is not None:
-                    requeued_total += self._resume_sampled_job(
-                        store, entry, job_id, spec, campaign_id,
+                    store.record_sampling(
+                        campaign_id, plan.seed, plan.margin,
+                        plan.confidence, plan.strata_mode, plan.chunk,
                     )
-                    resumed.append(job_id)
-                    continue
-                shards = plan_shards(
-                    spec, shard_size=entry.shard_size,
-                    netlist=entry.netlist, config=entry.config,
-                )
-                job = _Job(job_id, spec.name, shards, campaign_id)
-                for shard_id, count in entry.lease_counts.items():
-                    if shard_id in job.lease_counts:
-                        job.lease_counts[shard_id] = count
+                job = _Job(job_id, spec, campaign_id, plan,
+                           netlist=entry.netlist, config=entry.config,
+                           sampling=entry.sampling)
                 job.failed = set(entry.failed)
+                job.lease_counts.update(entry.lease_counts)
                 job.seen_rows.update(store.completed_indices(campaign_id))
-                adopted = []
-                for shard in shards:
-                    shard_id = shard.shard_id
-                    if shard_id in job.failed:
-                        continue
-                    have = set()
-                    if os.path.exists(self._sharded.shard_path(shard_id)):
-                        have = {
-                            int(row["idx"])
-                            for row in self._sharded.shard_run_rows(shard)
-                        }
-                        job.seen_rows.update(have)
-                    if (shard_id in entry.merged
-                            or (have and set(shard.indices) <= have)):
-                        merged = self._sharded.merge_into(
-                            store, campaign_id, shard, worker="resume",
-                            leases=job.lease_counts[shard_id] or None,
-                        )
-                        job.merged.add(shard_id)
-                        adopted.append(shard_id)
-                        _journal.emit(
-                            "shard_completed", job=job_id, shard=shard_id,
-                            worker="resume", rows=len(have), merged=merged,
-                        )
-                job.queue = deque(
-                    shard.shard_id for shard in shards
-                    if shard.shard_id not in job.merged
-                    and shard.shard_id not in job.failed
-                )
-                for shard_id in job.queue:
-                    store.record_shard(campaign_id, shard_id, "queued")
                 self._jobs[job_id] = job
+                # Every merge in this pump is an adoption: the event
+                # loop has not started, so no worker can complete.
+                self._pump(job)
                 resumed.append(job_id)
-                adopted_total += len(adopted)
+                adopted_total += len(job.merged)
                 requeued_total += len(job.queue)
                 LOGGER.info(
                     "job %d (%s) resumed: %d shards adopted from disk, "
                     "%d requeued, %d failed",
-                    job_id, spec.name, len(adopted), len(job.queue),
+                    job_id, spec.name, len(job.merged), len(job.queue),
                     len(job.failed),
                 )
-                self._maybe_finish(job)
             if not self._ledger.enabled:
                 # Resuming from an explicit path keeps appending to it,
                 # so a second crash is as recoverable as the first.
@@ -885,167 +797,152 @@ class Coordinator:
     def _next_shard(self):
         """The next (job, shard) to lease, FIFO across jobs.
 
-        Requeued shards (a revoked lease) go first; a sampled job with
-        an empty queue asks its sampler for the next chunk.  A sampled
-        job whose current round is fully leased yields nothing until
-        an in-order merge lets the sampler plan the next round.
+        A job whose queue is empty yields nothing — a sampled job's
+        next round is drawn only once an in-order merge lets its
+        sampler plan it.
         """
         for job_id in sorted(self._jobs):
             job = self._jobs[job_id]
-            if job.state != "running":
-                continue
-            if job.queue:
+            if job.state == "running" and job.queue:
                 return job, job.shards[job.queue.popleft()]
-            if job.sampler is not None:
-                shard = self._next_sample_shard(job)
-                if shard is not None:
-                    return job, shard
         return None, None
 
-    def _next_sample_shard(self, job):
-        """Plan the next chunk shard of a sampled job, or None.
+    def _pump(self, job):
+        """Drive a job's plan as far as it goes without a worker.
 
-        None while the sampler is waiting on in-flight chunks (the
-        round barrier) and forever once it stopped.  Chunks that need
-        no simulation — every outcome replayed from the store, a
-        pre-crash shard database adopted whole, or a shard past its
-        lease ceiling — finish inline and the loop tries the next
-        chunk, so a lease request always gets real work when any
-        exists.
+        Finishes the chunk at the merge cursor while it can — merged
+        from ``ready``, or failed past its lease ceiling — and
+        otherwise draws the plan's next chunk as a shard.  Finishing
+        comes first, so outcomes replayed into a later chunk never
+        reach an earlier chunk's convergence check.  Called whenever
+        progress may be possible: at submit and resume, on a
+        completion, and when a shard fails.
         """
-        base, keys, netlist, config = job.plan
-        while job.state == "running" and not job.sampler.finished:
-            chunk = job.sampler.next_chunk()
+        plan = job.plan
+        while job.state == "running":
+            chunk = job.chunks.get(job.merge_cursor)
+            if chunk is not None and (chunk.ident in job.ready
+                                      or chunk.ident in job.failed):
+                if not self._finish_chunk(job, chunk):
+                    break
+                continue
+            chunk = plan.next_chunk()
             if chunk is None:
                 break
-            job.chunks[chunk.ident] = chunk
-            if not chunk.pending or chunk.ident in job.failed:
-                self._advance_sampled(job)
-                continue
-            # The shard covers the chunk's full draw (not just the
-            # un-replayed subset): shard identity then survives a
-            # crash between a partial merge and its ledger line, and
-            # the final store's first-writer-wins insert drops any
-            # re-streamed duplicates.
-            shard = plan_chunk_shard(
-                base, keys, chunk.ident, chunk.indices,
-                netlist=netlist, config=config,
-            )
-            job.shards[shard.shard_id] = shard
-            job.lease_counts.setdefault(shard.shard_id, 0)
-            if self._adopt_sample_shard(job, shard):
-                continue
-            self._final_store().record_shard(
-                job.campaign_id, shard.shard_id, "queued",
-                n_faults=shard.size, leases=0,
-            )
-            return shard
-        if job.sampler.stopped:
-            # Stops decided at plan time (population exhausted before
-            # any chunk could be drawn) never pass through a
-            # finish_chunk, so close out the job here.
+            self._draw(job, chunk)
+        if job.state == "running" and plan.finished:
             self._stop_sampling(job)
-            self._maybe_finish(job)
-        return None
+        self._maybe_finish(job)
 
-    def _adopt_sample_shard(self, job, shard):
-        """Merge a chunk shard whose database already holds every row.
+    def _draw(self, job, chunk):
+        """Plan one drawn chunk's shard: queued, or adopted from disk.
 
-        The crash-recovery path: a worker completed the shard but the
-        coordinator died before merging it.  Returns True when the
-        shard was adopted (no lease needed).
+        The shard covers the chunk's full draw (not just the
+        un-replayed subset): shard identity then survives a crash
+        between a partial merge and its ledger line, and the final
+        store's first-writer-wins insert drops any re-streamed
+        duplicates.  A chunk the final store already holds, or whose
+        shard database holds every row (a worker finished it but the
+        coordinator died before merging), is adopted without a lease.
         """
+        shard = plan_chunk_shard(
+            job.base, job.keys, chunk.ident, chunk.indices,
+            netlist=job.netlist, config=job.config,
+        )
+        job.shards[shard.shard_id] = shard
+        job.chunks[chunk.ident] = chunk
+        job.lease_counts.setdefault(shard.shard_id, 0)
+        outcomes = self._shard_outcomes(shard)
+        job.seen_rows.update(outcomes)
+        if shard.shard_id in job.failed:
+            return
+        if not chunk.pending or set(shard.indices) <= outcomes.keys():
+            job.ready[shard.shard_id] = ("resume", None, outcomes)
+            return
+        job.queue.append(shard.shard_id)
+        self._final_store().record_shard(
+            job.campaign_id, shard.shard_id, "queued", n_faults=shard.size,
+        )
+
+    def _shard_outcomes(self, shard):
+        """``index -> outcome`` of the rows a shard's database holds."""
         if not os.path.exists(self._sharded.shard_path(shard.shard_id)):
-            return False
-        have = {
-            int(row["idx"])
+            return {}
+        return {
+            int(row["idx"]): row_outcome(row)
             for row in self._sharded.shard_run_rows(shard)
         }
-        if not set(shard.indices) <= have:
-            return False
-        job.ready[shard.shard_id] = ("resume", None)
-        self._advance_sampled(job)
-        return True
 
-    def _advance_sampled(self, job):
-        """Merge ready chunks strictly in chunk order and evaluate.
+    def _finish_chunk(self, job, chunk):
+        """Merge (or fail) the chunk at the cursor; finish it in the plan.
 
-        The sampler's convergence decision after chunk ``k`` depends
-        on every outcome of chunks ``<= k``, so out-of-order
-        completions buffer in ``job.ready`` until their turn — that
-        discipline is what makes the merged store row-identical to a
-        single-host sampled run.  Called whenever a chunk may have
-        become finishable: a completion arrived, a chunk was fully
-        replayed, a shard failed its lease ceiling.
+        Returns False when the job stops advancing: it aborted on a
+        golden divergence, or its plan finished.
         """
-        sampler = job.sampler
-        while job.state == "running" and not sampler.stopped:
-            chunk = job.chunks.get(job.merge_cursor)
-            if chunk is None:
-                return
-            shard_id = chunk.ident
-            if chunk.pending:
-                if shard_id in job.failed:
-                    # Past the lease ceiling: these faults can never
-                    # be simulated.  Record them as failed runs
-                    # (excluded from trials) so the pipeline is not
-                    # deadlocked behind a chunk that will never
-                    # arrive.
-                    for index in chunk.pending:
-                        sampler.record(index, None)
-                elif shard_id in job.ready:
-                    worker, frame = job.ready.pop(shard_id)
-                    if not self._merge_sample_shard(
-                        job, shard_id, worker, frame
-                    ):
-                        return  # job aborted on golden divergence
-                else:
-                    return  # next chunk in order still in flight
-            stopped = sampler.finish_chunk(chunk)
-            del job.chunks[job.merge_cursor]
-            job.merge_cursor += 1
-            if stopped:
-                self._stop_sampling(job)
-                self._maybe_finish(job)
-                return
+        shard_id = chunk.ident
+        if shard_id in job.ready:
+            worker, frame, outcomes = job.ready.pop(shard_id)
+            if not self._merge(job, job.shards[shard_id], worker, frame,
+                               outcomes):
+                return False
+        else:
+            # Past the lease ceiling: these faults can never be
+            # simulated.  They finish as failed runs (excluded from
+            # trials) so later chunks are not deadlocked behind a chunk
+            # that will never arrive.
+            for index in chunk.pending:
+                job.plan.record(index, None)
+        del job.chunks[shard_id]
+        job.merge_cursor += 1
+        return not job.plan.finish_chunk(chunk)
 
-    def _merge_sample_shard(self, job, shard_id, worker, frame):
-        """Golden-check and merge one chunk shard; feed the sampler.
+    def _merge(self, job, shard, worker, frame, outcomes):
+        """Golden-check and merge one shard; feed its outcomes to the plan.
 
-        Returns False when the job aborted (golden divergence).
+        ``frame`` is the worker's ``complete`` frame (None for a shard
+        adopted from disk).  Returns False when the job aborted
+        (golden divergence).
         """
         store = self._final_store()
-        shard = job.shards[shard_id]
         golden = (frame or {}).get("golden")
         if golden:
-            if not self._check_shard_golden(job, shard_id, golden,
+            # Golden digests are compared **per shard**: the mixing
+            # boundary is the shard database (rows from different
+            # lease attempts of the same shard dedup into one row
+            # set), so every attempt at one shard must have executed
+            # the same golden.
+            if not self._check_shard_golden(job, shard.shard_id, golden,
                                             worker):
                 return False
             store.record_golden_digests(job.campaign_id, golden)
         merged = self._sharded.merge_into(
             store, job.campaign_id, shard, worker=worker,
-            leases=job.lease_counts.get(shard_id) or None,
+            leases=job.lease_counts[shard.shard_id] or None,
         )
-        job.merged.add(shard_id)
+        job.merged.add(shard.shard_id)
         if worker != "resume":
             job.workers.add(worker)
-        for row in self._sharded.shard_run_rows(shard):
-            job.sampler.record(int(row["idx"]), row_outcome(row))
-            job.seen_rows.add(int(row["idx"]))
-        # Recorded *after* the merge commit, exactly as for static
-        # shards: a crash in between re-merges idempotently.
+        for index, outcome in outcomes.items():
+            job.plan.record(index, outcome)
+        job.seen_rows.update(outcomes)
+        # Recorded *after* the merge commit: a crash in between leaves
+        # the ledger unaware, and the resume re-merges the shard's
+        # database idempotently instead of re-running it.
         self._ledger.record(
-            "shard_merged", job=job.job_id, shard=shard_id, rows=merged,
+            "shard_merged", job=job.job_id, shard=shard.shard_id,
+            rows=merged,
         )
         if frame and frame.get("execution"):
             job.executions.append(frame["execution"])
         _journal.emit(
-            "shard_completed", job=job.job_id, shard=shard_id,
-            worker=worker, rows=len(shard.indices), merged=merged,
+            "shard_completed", job=job.job_id, shard=shard.shard_id,
+            worker=worker,
+            rows=frame.get("rows") if frame else len(outcomes),
+            merged=merged,
         )
         LOGGER.info(
-            "chunk %d of job %d merged from %s (%d rows)",
-            shard_id, job.job_id, worker, merged,
+            "shard %d of job %d merged from %s (%d rows)",
+            shard.shard_id, job.job_id, worker, merged,
         )
         return True
 
@@ -1075,18 +972,18 @@ class Coordinator:
         return True
 
     def _stop_sampling(self, job):
-        """Early-stop bookkeeping once the sampler's interval closed.
+        """Early-stop bookkeeping once a sampled job's plan finished.
 
         Outstanding leases are revoked and their chunks abandoned —
         rows already streamed stay in the shard databases but are
         never merged, so the final store is row-identical to a
         single-host run that stopped at the same chunk.  The faults
         sampling saved get their ``skipped`` rows in one transaction.
+        Exhaustive jobs have nothing to stop.
         """
-        if job.stop_recorded:
+        if job.sampling is None:
             return
-        job.stop_recorded = True
-        sampler = job.sampler
+        sampler = job.plan
         store = self._final_store()
         abandoned = set()
         for shard_id, lease in list(job.active.items()):
@@ -1103,7 +1000,6 @@ class Coordinator:
         job.ready.clear()
         job.chunks.clear()
         for shard_id in sorted(abandoned):
-            job.abandoned.add(shard_id)
             store.record_shard(
                 job.campaign_id, shard_id, "abandoned",
             )
@@ -1257,11 +1153,7 @@ class Coordinator:
                 "shard %d of job %d failed %d leases; giving up",
                 shard.shard_id, job.job_id, self.max_leases,
             )
-            if job.sampler is not None:
-                # The failed chunk's faults count as failed runs so
-                # later chunks are not deadlocked behind it.
-                self._advance_sampled(job)
-            self._maybe_finish(job)
+            self._pump(job)
         else:
             job.queue.append(shard.shard_id)
             self._final_store().record_shard(
@@ -1337,12 +1229,10 @@ class Coordinator:
         lease.last_heartbeat = monotonic()
         job, shard = lease.job, lease.shard
         for row in frame["rows"]:
-            if job.sampler is not None:
-                # Workers run plain exhaustive shards and know nothing
-                # of strata; the coordinator owns the stratification
-                # and stamps each row at ingest.
-                row = dict(row)
-                row["stratum"] = job.sampler.stratum_of(int(row["idx"]))
+            # Workers run plain exhaustive shards and know nothing of
+            # strata; the coordinator owns the plan and stamps each
+            # row's stratum (None for exhaustive jobs) at ingest.
+            row = dict(row, stratum=job.plan.stratum_of(int(row["idx"])))
             try:
                 self._sharded.ingest_row(shard, row)
             except StoreError as exc:
@@ -1361,18 +1251,16 @@ class Coordinator:
         if lease is None:
             return
         job, shard = lease.job, lease.shard
-        if shard.shard_id not in job.merged:
+        done = shard.shard_id in job.merged or shard.shard_id in job.ready
+        if not done:
             # A completion claim is merged on evidence, not trust: the
             # shard database must hold every row.  Rows can be lost in
             # flight — sendall() into a connection a fault (or a chaos
             # proxy) already cut succeeds locally, so the worker has
             # nothing left to re-send — and a complete that outlives
             # its rows must requeue the shard, not merge a hole.
-            have = {
-                int(row["idx"])
-                for row in self._sharded.shard_run_rows(shard)
-            }
-            missing = sorted(set(shard.indices) - have)
+            outcomes = self._shard_outcomes(shard)
+            missing = sorted(set(shard.indices) - outcomes.keys())
             if missing:
                 LOGGER.warning(
                     "shard %d of job %d completed by %s but rows %s "
@@ -1384,56 +1272,13 @@ class Coordinator:
         self._leases.pop(lease.token, None)
         if job.active.get(shard.shard_id) is lease:
             del job.active[shard.shard_id]
-        if shard.shard_id in job.merged:
+        if done:
             return  # the other holder of a reassigned shard got here first
-        if job.sampler is not None:
-            if shard.shard_id in job.abandoned:
-                return  # completed after the early stop; never merged
-            # Chunk shards merge strictly in chunk order — buffer
-            # out-of-order completions until their turn, then let the
-            # sampler evaluate and possibly plan the next round.
-            job.ready[shard.shard_id] = (peer.name, frame)
-            self._advance_sampled(job)
-            self._feed_waiting_workers()
-            self._maybe_finish(job)
-            return
-        store = self._final_store()
-        golden = frame.get("golden")
-        if golden:
-            # Golden digests are compared **per shard**: the mixing
-            # boundary is the shard database (rows from different
-            # lease attempts of the same shard dedup into one row
-            # set), so every attempt at one shard must have executed
-            # the same golden.
-            if not self._check_shard_golden(
-                job, shard.shard_id, golden, peer.name
-            ):
-                return
-            store.record_golden_digests(job.campaign_id, golden)
-        merged = self._sharded.merge_into(
-            store, job.campaign_id, shard, worker=peer.name,
-            leases=job.lease_counts[shard.shard_id],
-        )
-        job.merged.add(shard.shard_id)
-        job.workers.add(peer.name)
-        # Recorded *after* the merge commit: a crash in between leaves
-        # the ledger unaware, and the resume re-merges the shard's
-        # database idempotently instead of re-running it.
-        self._ledger.record(
-            "shard_merged", job=job.job_id, shard=shard.shard_id,
-            rows=merged,
-        )
-        if frame.get("execution"):
-            job.executions.append(frame["execution"])
-        _journal.emit(
-            "shard_completed", job=job.job_id, shard=shard.shard_id,
-            worker=peer.name, rows=frame.get("rows"), merged=merged,
-        )
-        LOGGER.info(
-            "shard %d of job %d complete on %s (%d rows merged)",
-            shard.shard_id, job.job_id, peer.name, merged,
-        )
-        self._maybe_finish(job)
+        # Shards merge strictly in chunk order: an out-of-order
+        # completion buffers until every earlier chunk has merged.
+        job.ready[shard.shard_id] = (peer.name, frame, outcomes)
+        self._pump(job)
+        self._feed_waiting_workers()
 
     def _on_worker_error(self, peer, frame):
         lease = self._lease_for(frame, expect_peer=peer)
@@ -1449,18 +1294,12 @@ class Coordinator:
     # -- job completion ----------------------------------------------------------
 
     def _maybe_finish(self, job):
-        if job.state != "running":
+        # A job is done when its plan finished and no chunk is still
+        # leased, queued or buffered awaiting merge.
+        if job.state != "running" or not job.plan.finished:
             return
-        if job.sampler is not None:
-            # A sampled job is done when its sampler stopped and no
-            # chunk is still leased or buffered awaiting merge.
-            if not (job.sampler.stopped and not job.active
-                    and not job.queue and not job.ready):
-                return
-        else:
-            terminal = len(job.merged) + len(job.failed)
-            if terminal < len(job.shards):
-                return
+        if job.active or job.queue or job.ready:
+            return
         store = self._final_store()
         execution = self._combined_execution(job)
         status = "complete" if not job.failed else "errors"
@@ -1496,10 +1335,10 @@ class Coordinator:
             execution[key] = sum(
                 int(exe.get(key) or 0) for exe in job.executions
             )
-        if job.sampler is not None:
+        if job.sampling is not None:
             execution["mode"] = "sampled-distributed"
-            execution["completed"] = job.sampler.simulated
-            execution["sampling"] = job.sampler.summary()
+            execution["completed"] = job.plan.simulated
+            execution["sampling"] = job.plan.summary()
         return execution
 
     def _abort_job(self, job, message):

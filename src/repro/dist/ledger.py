@@ -141,7 +141,6 @@ class LedgerJob:
         self.netlist = record.get("netlist")
         self.config = record.get("config") or {}
         self.shard_size = int(record["shard_size"])
-        self.shards = int(record.get("shards") or 0)
         self.sampling = record.get("sampling")
         self.merged = set()
         self.failed = set()

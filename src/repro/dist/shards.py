@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..campaign.sampling import ExhaustivePlan
 from ..core.errors import ReproError
 from ..store.serialize import fault_key, spec_from_dict, spec_to_dict
 
@@ -128,12 +129,13 @@ def plan_chunk_shard(base, keys, shard_id, indices, netlist=None,
                      config=None):
     """One shard over an arbitrary set of global fault indices.
 
-    The adaptive sampler's unit of distribution: chunk ``k`` of a
-    sampled job becomes shard ``k``, covering whatever non-contiguous
-    indices the stratified draw produced.  ``base`` and ``keys`` are
-    the full campaign's ``spec_to_dict`` rendering and per-fault
-    digests, computed once per job — chunk shards are planned one at a
-    time as the sampler draws them, so the per-plan work must be O(chunk).
+    The coordinator's unit of distribution: chunk ``k`` of a job's
+    plan becomes shard ``k``, covering the chunk's indices — a
+    contiguous slice for exhaustive jobs, whatever the stratified draw
+    produced for sampled ones.  ``base`` and ``keys`` are the full
+    campaign's ``spec_to_dict`` rendering and per-fault digests,
+    computed once per job — chunk shards are planned one at a time as
+    the plan draws them, so the per-plan work must be O(chunk).
 
     :param base: the parent campaign spec as a dict
         (:func:`~repro.store.serialize.spec_to_dict`).
@@ -174,7 +176,10 @@ def plan_shards(spec, shard_size=DEFAULT_SHARD_SIZE, netlist=None,
     ``[0, shard_size)``, shard 1 the next slice, and so on.  Contiguity
     is deliberate — fault lists are usually generated in injection-time
     order, so a contiguous slice needs few golden checkpoints and
-    batches well on the worker.
+    batches well on the worker.  These are exactly the shards the
+    coordinator cuts from an exhaustive job's chunk plan
+    (:class:`~repro.campaign.sampling.ExhaustivePlan` through
+    :func:`plan_chunk_shard`).
 
     :param spec: a :class:`~repro.campaign.spec.CampaignSpec`.
     :param shard_size: faults per shard (the last may be smaller).
@@ -184,25 +189,13 @@ def plan_shards(spec, shard_size=DEFAULT_SHARD_SIZE, netlist=None,
     """
     if shard_size < 1:
         raise ShardError(f"shard_size must be >= 1, got {shard_size}")
-    total = len(spec.faults)
-    if total == 0:
+    if not spec.faults:
         raise ShardError(f"campaign {spec.name!r} has no faults to shard")
     base = spec_to_dict(spec)
     keys = [fault_key(fault) for fault in spec.faults]
-    shards = []
-    for shard_id, start in enumerate(range(0, total, shard_size)):
-        stop = min(start + shard_size, total)
-        sub_spec = dict(base)
-        sub_spec["name"] = shard_name(spec.name, shard_id)
-        sub_spec["faults"] = base["faults"][start:stop]
-        shards.append(Shard(
-            shard_id=shard_id,
-            campaign=spec.name,
-            total=total,
-            indices=list(range(start, stop)),
-            fault_keys=keys[start:stop],
-            spec=sub_spec,
-            netlist=netlist,
-            config=dict(config or {}),
-        ))
-    return shards
+    plan = ExhaustivePlan(len(spec.faults), chunk=shard_size)
+    return [
+        plan_chunk_shard(base, keys, chunk.ident, chunk.indices,
+                         netlist=netlist, config=config)
+        for chunk in iter(plan.next_chunk, None)
+    ]

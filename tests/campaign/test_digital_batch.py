@@ -182,6 +182,13 @@ class TestDigitalBatchEquivalence:
         assert stats["digital_batches"] == 2
         assert stats["analog_batches"] == 0
 
+    def test_batched_run_reports_the_workers_it_used(self):
+        """Batching runs in the parent: ``workers`` is dropped, and the
+        execution record says so."""
+        batched = run_campaign(shiftreg_factory, shiftreg_spec(),
+                               batch="digital", workers=2)
+        assert batched.execution["workers"] == 1
+
     def test_analog_mode_leaves_digital_faults_scalar(self):
         """``batch="analog"`` must not touch bit-flip campaigns."""
         spec = shiftreg_spec()

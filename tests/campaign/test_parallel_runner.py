@@ -8,6 +8,9 @@ import pytest
 from repro.campaign import CampaignSpec, Design, exhaustive_bitflips, run_campaign
 from repro.core import Component, L0, Simulator
 from repro.digital import Bus, ClockGen, Counter, ParityGen
+from repro.store import CampaignStore
+
+from .test_sampled_runner import run_sampled
 
 needs_fork = pytest.mark.skipif(
     sys.platform == "win32"
@@ -88,3 +91,26 @@ class TestParallelRunner:
 
         result = run_campaign(closure_factory, make_spec(), workers=2)
         assert len(result) == 12
+
+
+@needs_fork
+class TestParallelSampled:
+    """``workers`` composes with sampling: each chunk runs on the pool."""
+
+    @staticmethod
+    def run_stored(path, **kwargs):
+        with CampaignStore(str(path)) as store:
+            result = run_sampled(store, **kwargs)
+            rows = [
+                {k: v for k, v in row.items() if k != "wall_s"}
+                for row in store.run_rows(store.campaign_id("sampled"))
+            ]
+        return result.execution, rows
+
+    def test_pool_is_row_identical_to_serial(self, tmp_path):
+        serial, serial_rows = self.run_stored(tmp_path / "serial.db")
+        pool, pool_rows = self.run_stored(tmp_path / "pool.db", workers=2)
+        assert pool_rows == serial_rows
+        assert pool["sampling"] == serial["sampling"]
+        assert pool["workers"] == 2
+        assert serial["workers"] == 1

@@ -1,9 +1,10 @@
-"""Unit tests for the stratified adaptive sampler.
+"""Unit tests for the stratified adaptive sampler and the exhaustive plan.
 
-Everything here drives :class:`StratifiedSampler` directly with
-synthetic outcomes — no simulator — so the draw sequence, the stopping
-rule, and the resume/replay contract are pinned down independently of
-the runner integrations.
+Everything here drives :class:`StratifiedSampler` and
+:class:`ExhaustivePlan` directly with synthetic outcomes — no
+simulator — so the draw sequence, the stopping rule, and the
+resume/replay contract are pinned down independently of the runner
+integrations.
 """
 
 import pytest
@@ -12,6 +13,7 @@ from repro.campaign import exhaustive_bitflips
 from repro.campaign.sampling import (
     DEFAULT_CHUNK,
     STRATA_MODES,
+    ExhaustivePlan,
     StratifiedSampler,
     row_outcome,
     stored_outcomes,
@@ -252,7 +254,9 @@ class TestChunkProtocol:
     def test_finish_unknown_chunk_raises(self):
         sampler = self.make()
         chunk = sampler.next_chunk()
-        sampler.abandon(chunk)
+        for index in chunk.pending:
+            sampler.record(index, False)
+        sampler.finish_chunk(chunk)
         with pytest.raises(CampaignError, match="not outstanding"):
             sampler.finish_chunk(chunk)
 
@@ -323,3 +327,93 @@ class TestReplay:
         _, reference = self.run_reference()
         summary = reference.summary()
         assert json.loads(json.dumps(summary)) == summary
+
+
+class TestExhaustivePlan:
+    """The degenerate sampler: every index, in order, no early stop."""
+
+    def test_index_order_in_fixed_chunks(self):
+        plan = ExhaustivePlan(10, chunk=4)
+        chunks = list(iter(plan.next_chunk, None))
+        assert [c.ident for c in chunks] == [0, 1, 2]
+        assert [c.indices for c in chunks] == [
+            (0, 1, 2, 3), (4, 5, 6, 7), (8, 9),
+        ]
+        assert [c.pending for c in chunks] == [c.indices for c in chunks]
+        assert plan.next_chunk() is None
+
+    def test_default_chunk(self):
+        plan = ExhaustivePlan(3 * DEFAULT_CHUNK)
+        assert len(plan.next_chunk().indices) == DEFAULT_CHUNK
+
+    def test_bad_chunk_rejected(self):
+        with pytest.raises(CampaignError, match="chunk"):
+            ExhaustivePlan(10, chunk=0)
+
+    def test_stored_indices_replay(self):
+        stored = {1: True, 3: None, 4: False, 5: False}
+        plan = ExhaustivePlan(6, chunk=3, stored=stored)
+        first, second = plan.next_chunk(), plan.next_chunk()
+        assert first.indices == (0, 1, 2)
+        assert first.pending == (0, 2)
+        assert second.pending == ()
+        for index in first.pending:
+            plan.record(index, False)
+        assert not plan.finish_chunk(first)
+        # a fully replayed chunk finishes without a single new outcome
+        assert plan.finish_chunk(second)
+        assert plan.finished
+
+    def test_never_stops_early(self):
+        plan = ExhaustivePlan(9, chunk=3)
+        finished = []
+        while True:
+            chunk = plan.next_chunk()
+            if chunk is None:
+                break
+            for index in chunk.pending:
+                plan.record(index, True)  # every run an error
+            finished.append(plan.finish_chunk(chunk))
+        assert finished == [False, False, True]
+        assert plan.finished
+
+    def test_all_chunks_hand_out_before_any_finishes(self):
+        plan = ExhaustivePlan(9, chunk=3)
+        chunks = [plan.next_chunk() for _ in range(3)]
+        assert all(chunk is not None for chunk in chunks)
+        assert not plan.finished
+
+    def test_out_of_order_finish_raises(self):
+        plan = ExhaustivePlan(6, chunk=3)
+        first, second = plan.next_chunk(), plan.next_chunk()
+        for index in first.indices + second.indices:
+            plan.record(index, False)
+        with pytest.raises(CampaignError, match="out of order"):
+            plan.finish_chunk(second)
+        assert not plan.finish_chunk(first)
+        assert plan.finish_chunk(second)
+
+    def test_unrecorded_outcome_raises(self):
+        plan = ExhaustivePlan(6, chunk=3)
+        chunk = plan.next_chunk()
+        plan.record(0, False)
+        with pytest.raises(CampaignError, match="unrecorded"):
+            plan.finish_chunk(chunk)
+
+    def test_finish_unknown_chunk_raises(self):
+        plan = ExhaustivePlan(6, chunk=3)
+        chunk = plan.next_chunk()
+        for index in chunk.pending:
+            plan.record(index, False)
+        plan.finish_chunk(chunk)
+        with pytest.raises(CampaignError, match="not outstanding"):
+            plan.finish_chunk(chunk)
+
+    def test_no_strata(self):
+        plan = ExhaustivePlan(4, chunk=2)
+        assert [plan.stratum_of(i) for i in range(4)] == [None] * 4
+
+    def test_empty_population_is_finished(self):
+        plan = ExhaustivePlan(0)
+        assert plan.finished
+        assert plan.next_chunk() is None
