@@ -40,7 +40,7 @@ from repro.campaign import (
 from repro.core import Component, L0
 from repro.core.hierarchy import collect_state_signals
 from repro.digital import Accumulator8, ClockGen, assemble
-from repro.dist import Coordinator, read_ledger, spawn_local_workers
+from repro.dist import Coordinator, spawn_local_workers
 from repro.dist import run_distributed
 from repro.dist.local import _worker_main
 from repro.store import CampaignStore
@@ -191,15 +191,13 @@ def run_storm(tmp_path):
     Starts the usual 4-worker fleet, waits for real progress (two
     shards merged), SIGKILLs half the fleet, forks replacements under
     fresh names, and times the kill-to-complete recovery window.  The
-    ledger counts how many leases the storm cost.
+    store's shard lease counts sum to how many leases the storm cost.
     """
     spec = make_spec()
     store_path = tmp_path / "storm.db"
-    ledger_path = tmp_path / "storm.ledger.jsonl"
     context = multiprocessing.get_context("fork")
     coordinator = Coordinator(
-        store_path, shard_size=SHARD_SIZE, ledger_path=ledger_path,
-        reconnect_grace_s=1.0,
+        store_path, shard_size=SHARD_SIZE, reconnect_grace_s=1.0,
     )
     coordinator.drain_when_idle(True)
     processes = []
@@ -236,12 +234,9 @@ def run_storm(tmp_path):
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
-    grants = sum(
-        1 for record in read_ledger(ledger_path)
-        if record.get("rec") == "lease_granted"
-    )
     with CampaignStore(store_path) as store:
         rows = store.run_rows(store.campaign_id(spec.name))
+        grants = sum(row["leases"] for row in store.shard_rows(spec.name))
     return status, t_recovery, killed_at_merged, grants, rows
 
 

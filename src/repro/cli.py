@@ -584,17 +584,17 @@ def cmd_campaign_serve(args):
     from .dist.protocol import parse_address
 
     host, port = parse_address(args.listen)
+    if args.ledger is not None:
+        print(f"warning: --ledger is ignored: {args.db} itself records "
+              "every job for --resume", file=sys.stderr)
+    if args.resume and not os.path.exists(args.db):
+        raise ReproError(f"--resume needs an existing store: no {args.db}")
     if args.journal:
         obs_journal.open_journal(args.journal)
-    ledger = args.ledger
-    if ledger is None:
-        ledger = f"{args.db}.ledger.jsonl"
-    elif ledger.lower() == "none":
-        ledger = None
     coordinator = Coordinator(
         args.db, host=host, port=port, shard_size=args.shard_size,
         lease_timeout_s=args.lease_timeout, max_leases=args.max_leases,
-        ledger_path=ledger, reconnect_grace_s=args.reconnect_grace,
+        reconnect_grace_s=args.reconnect_grace,
         lease_wall_s=args.lease_wall_timeout,
     )
     bound = coordinator.address
@@ -602,13 +602,8 @@ def cmd_campaign_serve(args):
           f"store {args.db}", file=sys.stderr)
     try:
         if args.resume:
-            if ledger is None or not os.path.exists(ledger):
-                raise ReproError(
-                    f"--resume needs an existing ledger file "
-                    f"(looked for {ledger or '--ledger FILE'})"
-                )
-            resumed = coordinator.resume_from_ledger(ledger)
-            print(f"resumed {len(resumed)} job(s) from {ledger}",
+            resumed = coordinator.resume()
+            print(f"resumed {len(resumed)} job(s) from {args.db}",
                   file=sys.stderr)
             if resumed:
                 # Finish the interrupted jobs, then exit with their
@@ -632,11 +627,11 @@ def cmd_campaign_serve(args):
                 except KeyboardInterrupt:
                     return 3
                 return 0 if ok else 3
-            # Nothing interrupted: every ledgered job already reached
+            # Nothing interrupted: every recorded job already reached
             # a terminal state.  Exit instead of parking as a server —
             # the operator asked to finish a crash, not to serve.
-            print("nothing to resume: all ledgered jobs are terminal",
-                  file=sys.stderr)
+            print(f"nothing to resume: every job in {args.db} is "
+                  "terminal", file=sys.stderr)
             return 0
         if args.netlist:
             if not args.faults:
@@ -980,14 +975,14 @@ def build_parser():
                          help="stream job/shard/run events to FILE as "
                               "JSONL ('campaign watch' tails it)")
     p_serve.add_argument("--ledger", metavar="FILE", default=None,
-                         help="durable scheduling ledger for crash "
-                              "recovery (default: <db>.ledger.jsonl; "
-                              "'none' disables)")
+                         help="ignored, with a warning: --db records "
+                              "every job (accepted so that existing "
+                              "scripts keep working)")
     p_serve.add_argument("--resume", action="store_true",
-                         help="rebuild coordinator state from the "
-                              "ledger before serving: completed shards "
-                              "are adopted from their shard databases, "
-                              "the rest requeue")
+                         help="finish the unfinished jobs recorded in "
+                              "--db: merged shards and shards whose "
+                              "rows all arrived are adopted, the rest "
+                              "requeue")
     p_serve.add_argument("--reconnect-grace", type=float, default=10.0,
                          metavar="SECONDS",
                          help="how long a disconnected worker's lease "

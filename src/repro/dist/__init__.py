@@ -5,10 +5,10 @@ dictionary is sliced into self-contained :class:`~.shards.Shard` work
 units, a :class:`~.coordinator.Coordinator` leases them to worker
 daemons over a line-delimited JSON socket protocol, each worker runs
 its shard through the **ordinary campaign runner** (warm starts and
-batching included) streaming run rows back as they land, and
-completed shards merge deterministically into one final
-:class:`~repro.store.CampaignStore` — row-identical to a serial run
-regardless of worker count or arrival order.
+batching included) streaming run rows back as they land, and the rows
+land once, in one final :class:`~repro.store.CampaignStore`, where
+completed shards merge deterministically — row-identical to a serial
+run regardless of worker count or arrival order.
 
 Three entry points:
 
@@ -24,22 +24,17 @@ Fault tolerance is at-least-once with idempotent rows: dead workers
 shards re-leased, and duplicate rows from the two executions dedup by
 global fault index with content-digest verification.  Crash tolerance
 goes further (see ``docs/distributed.md``, "Failure model"): the
-coordinator journals every scheduling decision to a durable
-:class:`~.ledger.CoordinatorLedger` and can
-:meth:`~.coordinator.Coordinator.resume_from_ledger` after a kill;
-workers reconnect with capped exponential backoff and drain buffered
-rows; and a seeded :class:`~.chaos.ChaosProxy` exists to prove all of
-it under injected network faults.
+final store is the coordinator's only durable record — jobs, shard
+states and provisional rows, each a SQLite WAL commit — and a
+restarted coordinator can :meth:`~.coordinator.Coordinator.resume`
+from it after a kill; workers reconnect with capped exponential
+backoff and drain buffered rows; and a seeded
+:class:`~.chaos.ChaosProxy` exists to prove all of it under injected
+network faults.
 """
 
 from .chaos import ChaosConfig, ChaosProxy
 from .coordinator import Coordinator, CoordinatorError
-from .ledger import (
-    CoordinatorLedger,
-    LedgerError,
-    read_ledger,
-    replay_ledger,
-)
 from .local import run_distributed, spawn_local_workers
 from .protocol import (
     MAX_FRAME_BYTES,
@@ -64,12 +59,10 @@ __all__ = [
     "ChaosProxy",
     "Coordinator",
     "CoordinatorError",
-    "CoordinatorLedger",
     "CoordinatorLost",
     "DEFAULT_SHARD_SIZE",
     "FrameBuffer",
     "FrameConnection",
-    "LedgerError",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "ProtocolError",
@@ -81,8 +74,6 @@ __all__ = [
     "execute_shard",
     "parse_address",
     "plan_shards",
-    "read_ledger",
-    "replay_ledger",
     "run_distributed",
     "run_worker",
     "spawn_local_workers",

@@ -9,11 +9,11 @@ computing.
 
 Every job moves through one lifecycle, exhaustive or sampled::
 
-    submit (API or in-process) -> chunk plan -> chunks drawn as shards
-        -> shards queued -> leases granted
-        -> rows ingested into per-shard databases (crash-durable)
-        -> shard complete -> merged into the final store in chunk order
-        -> plan finished -> job complete (execution row written)
+    submit (API or in-process) -> job row + chunk plan
+        -> chunks drawn as shards -> shards queued -> leases granted
+        -> rows written to the final store, tagged by shard, provisional
+        -> shard complete -> merged (a state change) in chunk order
+        -> plan finished -> unmerged rows deleted -> job complete
 
 The plan is an :class:`~repro.campaign.sampling.ExhaustivePlan` (every
 fault in index order, all chunks drawn at submit) or a
@@ -32,9 +32,13 @@ Fault tolerance is lease-based, **at-least-once**:
   (:attr:`Coordinator.lease_timeout_s`, for wedged-but-alive workers)
   — and either way its shards requeue for the next lease request;
 * re-executed shards re-stream rows already ingested from the dead
-  worker's partial run; the per-shard database's first-writer-wins
-  insert makes re-ingest idempotent, so the merged store is identical
-  to a serial run.
+  worker's partial run; the final store's first-writer-wins insert
+  makes re-ingest idempotent, so the merged store is identical to a
+  serial run.
+
+The final store is the coordinator's only durable record: its ``jobs``,
+``shards`` and ``runs`` tables hold everything :meth:`Coordinator.resume`
+needs after a crash, and every state change is one SQLite WAL commit.
 
 Golden consistency across hosts is verified, not assumed: the first
 completing worker's golden probe digests are recorded in the final
@@ -46,7 +50,6 @@ local resume against a drifted golden).
 from __future__ import annotations
 
 import logging
-import os
 import selectors
 import socket
 import threading
@@ -64,7 +67,6 @@ from ..obs import journal as _journal
 from ..store.serialize import fault_key, spec_from_dict, spec_to_dict
 from ..store.sharded import ShardedCampaignStore
 from ..store.store import CampaignStore, StoreError
-from .ledger import CoordinatorLedger, replay_ledger
 from .protocol import (
     PROTOCOL_VERSION,
     FrameBuffer,
@@ -150,14 +152,16 @@ class _Job:
     grows as chunks are drawn (shard ``k`` is chunk ``k``).  Completions
     buffer in ``ready`` until every earlier chunk has merged, so the
     plan finishes chunks strictly in order, exactly as in a single-host
-    run.
+    run.  ``outcomes`` mirrors the rows committed to the final store,
+    per shard, so completion and merge never read the store back.
     """
 
-    def __init__(self, job_id, spec, campaign_id, plan, netlist=None,
-                 config=None, sampling=None):
+    def __init__(self, job_id, spec, campaign_id, plan, store,
+                 netlist=None, config=None, sampling=None):
         self.job_id = job_id
         self.name = spec.name
         self.campaign_id = campaign_id
+        self.sharded = ShardedCampaignStore(store, campaign_id)
         self.plan = plan
         self.sampling = sampling  # submitted sampling config (or None)
         # The parent spec and fault digests, rendered once: every
@@ -171,11 +175,11 @@ class _Job:
         self.chunks = {}          # shard_id -> chunk drawn, not finished
         self.queue = deque()      # shard ids awaiting a lease
         self.active = {}          # shard_id -> _Lease
-        self.ready = {}           # shard_id -> (worker, frame, outcomes)
+        self.ready = {}           # shard_id -> (worker, complete frame)
         self.merged = set()       # shard ids merged into the final store
         self.failed = set()       # shard ids past the lease ceiling
         self.lease_counts = {}
-        self.seen_rows = set()    # global fault indices already ingested
+        self.outcomes = {}        # shard_id -> {index: outcome} committed
         self.shard_goldens = {}   # shard_id -> that shard's golden digests
         self.executions = []      # per-shard execution stats
         self.merge_cursor = 0     # next chunk ident to finish, in order
@@ -186,6 +190,11 @@ class _Job:
     @property
     def total(self):
         return self.plan.population
+
+    @property
+    def rows(self):
+        """Distinct faults with a row in the final store."""
+        return sum(len(outcomes) for outcomes in self.outcomes.values())
 
     def status(self):
         """JSON-ready progress snapshot (the ``job_status`` payload)."""
@@ -199,7 +208,7 @@ class _Job:
             "merged": len(self.merged),
             "failed": sorted(self.failed),
             "total": self.total,
-            "rows": len(self.seen_rows),
+            "rows": self.rows,
         }
         if self.sampling is not None:
             status["sampled"] = True
@@ -213,17 +222,13 @@ class Coordinator:
     """Shard dispatcher, result ingestor and merge engine.
 
     :param store_path: the final campaign store (created at first
-        submit; ``campaign watch`` can tail it as shards merge).
+        submit or resume; ``campaign watch`` can tail it as shards
+        merge) — the coordinator's only durable record.
     :param host: listen address (default loopback).
     :param port: listen port (0 = ephemeral; read :attr:`address`).
     :param shard_size: faults per shard for submitted jobs.
     :param lease_timeout_s: heartbeat silence before lease revocation.
     :param max_leases: lease attempts per shard before it fails.
-    :param shard_dir: directory for per-shard databases (default:
-        ``<store_path>.shards/``).
-    :param ledger_path: append-only job ledger enabling
-        :meth:`resume_from_ledger` after a coordinator crash (None:
-        no ledger, in-memory state only).
     :param reconnect_grace_s: seconds an EOF'd worker's leases wait
         for the same worker to reconnect before requeueing (0
         restores immediate revocation).
@@ -240,8 +245,7 @@ class Coordinator:
     def __init__(self, store_path, host="127.0.0.1", port=0,
                  shard_size=DEFAULT_SHARD_SIZE,
                  lease_timeout_s=DEFAULT_LEASE_TIMEOUT_S,
-                 max_leases=DEFAULT_MAX_LEASES, shard_dir=None,
-                 ledger_path=None,
+                 max_leases=DEFAULT_MAX_LEASES,
                  reconnect_grace_s=DEFAULT_RECONNECT_GRACE_S,
                  lease_wall_s=None,
                  hello_timeout_s=DEFAULT_HELLO_TIMEOUT_S,
@@ -254,11 +258,6 @@ class Coordinator:
         self.lease_wall_s = lease_wall_s
         self.hello_timeout_s = hello_timeout_s
         self.client_idle_s = client_idle_s
-        self.shard_dir = (
-            str(shard_dir) if shard_dir is not None
-            else self.store_path + ".shards"
-        )
-        self._ledger = CoordinatorLedger(ledger_path)
         self._lock = threading.RLock()
         self._selector = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -272,13 +271,11 @@ class Coordinator:
         self._selector.register(self._listener, selectors.EVENT_READ, None)
         self._peers = {}          # socket -> _Peer
         self._jobs = {}           # job_id -> _Job
-        self._next_job = 1
         self._leases = {}         # token -> _Lease
         self._seen_workers = set()  # worker names ever hello'd
         self._stop = threading.Event()
         self._drain_when_idle = False
         self._store = None        # final CampaignStore, opened lazily
-        self._sharded = ShardedCampaignStore(self.shard_dir)
         self._thread = None
 
     # -- stores ---------------------------------------------------------------
@@ -295,9 +292,10 @@ class Coordinator:
 
         Thread-safe: callable from outside the event loop (the
         in-process path ``run_distributed`` uses) as well as from a
-        client ``submit`` frame inside it.  Registers the campaign in
-        the final store immediately — its spec and fault list exist
-        before any worker runs, exactly as in a serial campaign.
+        client ``submit`` frame inside it.  Registers the campaign and
+        its job in the final store immediately — its spec, fault list
+        and job row are committed before any lease is granted, so a
+        crash at any later moment can :meth:`resume` it.
 
         :param sampling: optional adaptive-sampling configuration dict
             (``margin`` required; ``confidence``, ``seed``, ``strata``
@@ -329,22 +327,12 @@ class Coordinator:
                     campaign_id, _journal.JOURNAL.path,
                     _journal.JOURNAL.session_offset,
                 )
-            job_id = self._next_job
-            self._next_job += 1
-            job = _Job(job_id, spec, campaign_id, plan, netlist=netlist,
-                       config=config, sampling=sampling)
+            job_id = store.record_job(campaign_id, netlist, config,
+                                      self.shard_size)
+            job = _Job(job_id, spec, campaign_id, plan, store,
+                       netlist=netlist, config=config, sampling=sampling)
             self._jobs[job_id] = job
             self._pump(job)
-            # Durability point: the ledger line lands (fsynced) before
-            # any lease is granted, so a crash at any later moment can
-            # re-draw the identical chunks from the recorded spec and
-            # sampling config.
-            self._ledger.record(
-                "job_submitted", job=job_id, name=spec.name,
-                spec=job.base, netlist=netlist, config=config,
-                shard_size=self.shard_size, shards=len(job.shards),
-                sampling=sampling,
-            )
             _journal.emit(
                 "job_submitted", job=job_id, name=spec.name,
                 total=len(spec.faults), shards=len(job.shards),
@@ -397,100 +385,85 @@ class Coordinator:
             sampling=sampling,
         )
 
-    def resume_from_ledger(self, ledger_path=None):
-        """Rebuild coordinator state after a crash; returns resumed job ids.
+    def resume(self):
+        """Rebuild every unfinished job from the store; returns their ids.
 
-        Replays the job ledger and, for every job not recorded
-        finished:
-
-        * re-attaches to the final store's campaign (``resume``
-          semantics — the fault digest must match);
-        * rebuilds the job's chunk plan from the recorded spec and
-          sampling config, replaying the final store's rows into it —
-          chunks merge strictly in order, so the store holds a prefix
-          of the identical chunk sequence;
-        * **adopts** every chunk the final store already holds, or
-          whose per-shard database holds a row for each of its faults
-          — merged idempotently into the final store, never re-run —
-          including shards that completed after the last ledger line
-          landed;
-        * requeues the rest for the next lease request, crediting back
-          leases that were live at the crash (a coordinator death is
-          not the shard's strike);
-        * rebuilds the seen-row set from the final store and the shard
-          databases, so journal dedup and progress counts carry over.
+        For every job whose campaign is still ``running``, the chunk
+        plan is rebuilt from the stored spec, sampling configuration
+        and shard size, and only the rows of ``merged`` shards replay
+        into it: chunks merge strictly in order, so a sampled job
+        reaches the convergence decisions of a single-host run.  Every
+        chunk whose shard merged, or whose provisional rows cover each
+        of its faults, is **adopted**, never re-run; the rest requeue
+        with their recorded lease counts, less the lease a shard still
+        held at the crash (a coordinator death is not the shard's
+        strike).  ``failed`` shards stay failed.
 
         Call before :meth:`serve`/:meth:`start`; dials from workers
         queue in the listen backlog until the loop runs.
-
-        :raises CoordinatorError: when no ledger path is available.
-        :raises LedgerError: on unreadable or malformed ledgers.
         """
-        path = ledger_path or self._ledger.path
-        if path is None:
-            raise CoordinatorError(
-                "resume_from_ledger needs a ledger path (construct the "
-                "coordinator with ledger_path=, or pass one here)"
-            )
-        entries = replay_ledger(path)
         resumed, adopted_total, requeued_total = [], 0, 0
         with self._lock:
             store = self._final_store()
-            for job_id in sorted(entries):
-                entry = entries[job_id]
-                self._next_job = max(self._next_job, job_id + 1)
-                if entry.finished is not None:
+            for record in store.job_rows():
+                if record["status"] != "running":
                     LOGGER.info(
                         "job %d (%s) already %s; nothing to resume",
-                        job_id, entry.name, entry.finished,
+                        record["job"], record["name"], record["status"],
                     )
                     continue
-                spec = spec_from_dict(entry.spec)
-                campaign_id = store.open_campaign(spec, resume=True)
-                plan = self._build_plan(
-                    spec, entry.sampling,
-                    stored=stored_outcomes(store.run_rows(campaign_id)),
-                    chunk=entry.shard_size,
-                )
-                if entry.sampling is not None:
-                    store.record_sampling(
-                        campaign_id, plan.seed, plan.margin,
-                        plan.confidence, plan.strata_mode, plan.chunk,
-                    )
-                job = _Job(job_id, spec, campaign_id, plan,
-                           netlist=entry.netlist, config=entry.config,
-                           sampling=entry.sampling)
-                job.failed = set(entry.failed)
-                job.lease_counts.update(entry.lease_counts)
-                job.seen_rows.update(store.completed_indices(campaign_id))
-                self._jobs[job_id] = job
+                job = self._rebuild(store, record)
+                self._jobs[job.job_id] = job
                 # Every merge in this pump is an adoption: the event
                 # loop has not started, so no worker can complete.
                 self._pump(job)
-                resumed.append(job_id)
+                resumed.append(job.job_id)
                 adopted_total += len(job.merged)
                 requeued_total += len(job.queue)
                 LOGGER.info(
-                    "job %d (%s) resumed: %d shards adopted from disk, "
-                    "%d requeued, %d failed",
-                    job_id, spec.name, len(job.merged), len(job.queue),
+                    "job %d (%s) resumed: %d shards adopted from the "
+                    "store, %d requeued, %d failed",
+                    job.job_id, job.name, len(job.merged), len(job.queue),
                     len(job.failed),
                 )
-            if not self._ledger.enabled:
-                # Resuming from an explicit path keeps appending to it,
-                # so a second crash is as recoverable as the first.
-                self._ledger = CoordinatorLedger(path)
-            self._ledger.record(
-                "resumed", jobs=resumed, adopted=adopted_total,
-                requeued=requeued_total,
-            )
             _journal.emit(
                 "coordinator_resumed", jobs=len(resumed),
                 adopted=adopted_total, requeued=requeued_total,
-                ledger=str(path),
+                store=self.store_path,
             )
             self._feed_waiting_workers()
         return resumed
+
+    def _rebuild(self, store, record):
+        """One unfinished job, as its store rows describe it."""
+        campaign_id = record["campaign_id"]
+        spec = store.load_spec(campaign_id)
+        sampling = store.sampling_config(campaign_id)
+        shards = store.shard_rows(record["name"])
+        merged = {row["shard_id"] for row in shards
+                  if row["state"] == "merged"}
+        rows = store.run_rows(campaign_id)
+        plan = self._build_plan(
+            spec, sampling, chunk=record["shard_size"],
+            stored=stored_outcomes(
+                row for row in rows if row["shard_id"] in merged
+            ),
+        )
+        job = _Job(record["job"], spec, campaign_id, plan, store,
+                   netlist=record["netlist"], config=record["config"],
+                   sampling=sampling)
+        for row in shards:
+            if row["state"] == "failed":
+                job.failed.add(row["shard_id"])
+            job.lease_counts[row["shard_id"]] = (
+                row["leases"] - (row["state"] == "leased")
+            )
+        for row in rows:
+            if row["shard_id"] is not None:
+                job.outcomes.setdefault(row["shard_id"], {})[row["idx"]] = (
+                    row_outcome(row)
+                )
+        return job
 
     def job_status(self, job_id):
         """Progress snapshot of one job (thread-safe)."""
@@ -573,11 +546,9 @@ class Coordinator:
             self._thread.join(timeout=10.0)
             self._thread = None
         with self._lock:
-            self._sharded.close()
             if self._store is not None:
                 self._store.close()
                 self._store = None
-            self._ledger.close()
 
     def drain_when_idle(self, enable=True):
         """Tell idle workers to disconnect once no work remains.
@@ -835,15 +806,15 @@ class Coordinator:
         self._maybe_finish(job)
 
     def _draw(self, job, chunk):
-        """Plan one drawn chunk's shard: queued, or adopted from disk.
+        """Plan one drawn chunk's shard: queued, or adopted.
 
         The shard covers the chunk's full draw (not just the
-        un-replayed subset): shard identity then survives a crash
-        between a partial merge and its ledger line, and the final
-        store's first-writer-wins insert drops any re-streamed
-        duplicates.  A chunk the final store already holds, or whose
-        shard database holds every row (a worker finished it but the
-        coordinator died before merging), is adopted without a lease.
+        un-replayed subset), so shard identity survives a crash, and
+        the final store's first-writer-wins insert drops any
+        re-streamed duplicates.  A chunk whose shard merged before a
+        crash, or whose provisional rows cover every fault (a worker
+        finished it but the coordinator died before merging), is
+        adopted without a lease.
         """
         shard = plan_chunk_shard(
             job.base, job.keys, chunk.ident, chunk.indices,
@@ -852,26 +823,16 @@ class Coordinator:
         job.shards[shard.shard_id] = shard
         job.chunks[chunk.ident] = chunk
         job.lease_counts.setdefault(shard.shard_id, 0)
-        outcomes = self._shard_outcomes(shard)
-        job.seen_rows.update(outcomes)
         if shard.shard_id in job.failed:
             return
+        outcomes = job.outcomes.get(shard.shard_id, {})
         if not chunk.pending or set(shard.indices) <= outcomes.keys():
-            job.ready[shard.shard_id] = ("resume", None, outcomes)
+            job.ready[shard.shard_id] = ("resume", None)
             return
         job.queue.append(shard.shard_id)
         self._final_store().record_shard(
             job.campaign_id, shard.shard_id, "queued", n_faults=shard.size,
         )
-
-    def _shard_outcomes(self, shard):
-        """``index -> outcome`` of the rows a shard's database holds."""
-        if not os.path.exists(self._sharded.shard_path(shard.shard_id)):
-            return {}
-        return {
-            int(row["idx"]): row_outcome(row)
-            for row in self._sharded.shard_run_rows(shard)
-        }
 
     def _finish_chunk(self, job, chunk):
         """Merge (or fail) the chunk at the cursor; finish it in the plan.
@@ -881,9 +842,8 @@ class Coordinator:
         """
         shard_id = chunk.ident
         if shard_id in job.ready:
-            worker, frame, outcomes = job.ready.pop(shard_id)
-            if not self._merge(job, job.shards[shard_id], worker, frame,
-                               outcomes):
+            worker, frame = job.ready.pop(shard_id)
+            if not self._merge(job, job.shards[shard_id], worker, frame):
                 return False
         else:
             # Past the lease ceiling: these faults can never be
@@ -896,53 +856,49 @@ class Coordinator:
         job.merge_cursor += 1
         return not job.plan.finish_chunk(chunk)
 
-    def _merge(self, job, shard, worker, frame, outcomes):
+    def _merge(self, job, shard, worker, frame):
         """Golden-check and merge one shard; feed its outcomes to the plan.
 
-        ``frame`` is the worker's ``complete`` frame (None for a shard
-        adopted from disk).  Returns False when the job aborted
-        (golden divergence).
+        ``frame`` is the worker's ``complete`` frame (None for an
+        adopted shard).  The merge is one ``shards`` row update: the
+        rows are already in the final store.  Returns False when the
+        job aborted (golden divergence).
         """
-        store = self._final_store()
         golden = (frame or {}).get("golden")
         if golden:
-            # Golden digests are compared **per shard**: the mixing
-            # boundary is the shard database (rows from different
-            # lease attempts of the same shard dedup into one row
-            # set), so every attempt at one shard must have executed
-            # the same golden.
+            # Golden digests are compared **per shard**: rows from
+            # different lease attempts of the same shard dedup into one
+            # row set, so every attempt at one shard must have executed
+            # the same golden.  The campaign row keeps the first.
+            first = not job.shard_goldens
             if not self._check_shard_golden(job, shard.shard_id, golden,
                                             worker):
                 return False
-            store.record_golden_digests(job.campaign_id, golden)
-        merged = self._sharded.merge_into(
-            store, job.campaign_id, shard, worker=worker,
+            if first:
+                self._final_store().record_golden_digests(
+                    job.campaign_id, golden
+                )
+        job.sharded.merge_into(
+            shard, worker=worker,
             leases=job.lease_counts[shard.shard_id] or None,
         )
         job.merged.add(shard.shard_id)
         if worker != "resume":
             job.workers.add(worker)
+        outcomes = job.outcomes.get(shard.shard_id, {})
         for index, outcome in outcomes.items():
             job.plan.record(index, outcome)
-        job.seen_rows.update(outcomes)
-        # Recorded *after* the merge commit: a crash in between leaves
-        # the ledger unaware, and the resume re-merges the shard's
-        # database idempotently instead of re-running it.
-        self._ledger.record(
-            "shard_merged", job=job.job_id, shard=shard.shard_id,
-            rows=merged,
-        )
         if frame and frame.get("execution"):
             job.executions.append(frame["execution"])
         _journal.emit(
             "shard_completed", job=job.job_id, shard=shard.shard_id,
             worker=worker,
             rows=frame.get("rows") if frame else len(outcomes),
-            merged=merged,
+            merged=len(outcomes),
         )
         LOGGER.info(
             "shard %d of job %d merged from %s (%d rows)",
-            shard.shard_id, job.job_id, worker, merged,
+            shard.shard_id, job.job_id, worker, len(outcomes),
         )
         return True
 
@@ -975,11 +931,11 @@ class Coordinator:
         """Early-stop bookkeeping once a sampled job's plan finished.
 
         Outstanding leases are revoked and their chunks abandoned —
-        rows already streamed stay in the shard databases but are
-        never merged, so the final store is row-identical to a
-        single-host run that stopped at the same chunk.  The faults
-        sampling saved get their ``skipped`` rows in one transaction.
-        Exhaustive jobs have nothing to stop.
+        the provisional rows they already streamed are deleted, so the
+        final store is row-identical to a single-host run that stopped
+        at the same chunk.  The faults sampling saved then get their
+        ``skipped`` rows in one transaction.  Exhaustive jobs have
+        nothing to stop.
         """
         if job.sampling is None:
             return
@@ -990,10 +946,6 @@ class Coordinator:
             self._leases.pop(lease.token, None)
             del job.active[shard_id]
             abandoned.add(shard_id)
-            self._ledger.record(
-                "lease_revoked", job=job.job_id, shard=shard_id,
-                reason="sampling-converged",
-            )
         abandoned.update(job.queue)
         job.queue.clear()
         abandoned.update(job.ready)
@@ -1003,10 +955,9 @@ class Coordinator:
             store.record_shard(
                 job.campaign_id, shard_id, "abandoned",
             )
-        self._ledger.record(
-            "stop_sampling", job=job.job_id, reason=sampler.reason,
-            revoked=sorted(abandoned),
-        )
+        # Before the skipped rows: their first-writer-wins insert would
+        # otherwise keep an abandoned chunk's provisional row instead.
+        self._drop_provisional(job)
         estimate, (low, high) = sampler.pooled()
         _journal.emit(
             "stop_sampling", job=job.job_id, reason=sampler.reason,
@@ -1052,10 +1003,6 @@ class Coordinator:
         job.active[shard.shard_id] = lease
         self._leases[token] = lease
         peer.waiting = False
-        self._ledger.record(
-            "lease_granted", job=job.job_id, shard=shard.shard_id,
-            worker=peer.name, token=token, count=count,
-        )
         self._final_store().record_shard(
             job.campaign_id, shard.shard_id, "leased", worker=peer.name,
             leases=count,
@@ -1135,15 +1082,8 @@ class Coordinator:
             del job.active[shard.shard_id]
         if shard.shard_id in job.merged:
             return  # completed before the revocation landed
-        self._ledger.record(
-            "lease_revoked", job=job.job_id, shard=shard.shard_id,
-            reason=reason,
-        )
         if job.lease_counts[shard.shard_id] >= self.max_leases:
             job.failed.add(shard.shard_id)
-            self._ledger.record(
-                "shard_failed", job=job.job_id, shard=shard.shard_id,
-            )
             self._final_store().record_shard(
                 job.campaign_id, shard.shard_id, "failed",
                 worker=lease.worker_name,
@@ -1224,22 +1164,26 @@ class Coordinator:
 
     def _on_rows(self, peer, frame):
         lease = self._lease_for(frame, expect_peer=peer)
-        if lease is None:
+        if lease is None or lease.job.state != "running":
             return
         lease.last_heartbeat = monotonic()
         job, shard = lease.job, lease.shard
-        for row in frame["rows"]:
+        try:
             # Workers run plain exhaustive shards and know nothing of
             # strata; the coordinator owns the plan and stamps each
             # row's stratum (None for exhaustive jobs) at ingest.
-            row = dict(row, stratum=job.plan.stratum_of(int(row["idx"])))
-            try:
-                self._sharded.ingest_row(shard, row)
-            except StoreError as exc:
-                raise ProtocolError(str(exc)) from exc
+            rows = [
+                dict(row, stratum=job.plan.stratum_of(int(row["idx"])))
+                for row in frame["rows"]
+            ]
+            job.sharded.ingest_row(shard, rows)
+        except (StoreError, LookupError) as exc:
+            raise ProtocolError(f"rows frame rejected: {exc}") from exc
+        outcomes = job.outcomes.setdefault(shard.shard_id, {})
+        for row in rows:
             index = int(row["idx"])
-            if index not in job.seen_rows:
-                job.seen_rows.add(index)
+            if index not in outcomes:
+                outcomes[index] = row_outcome(row)
                 _journal.emit(
                     "run_finished", index=index, status=row.get("status"),
                     label=row.get("label"), wall_s=row.get("wall_s"),
@@ -1254,12 +1198,13 @@ class Coordinator:
         done = shard.shard_id in job.merged or shard.shard_id in job.ready
         if not done:
             # A completion claim is merged on evidence, not trust: the
-            # shard database must hold every row.  Rows can be lost in
-            # flight — sendall() into a connection a fault (or a chaos
-            # proxy) already cut succeeds locally, so the worker has
-            # nothing left to re-send — and a complete that outlives
-            # its rows must requeue the shard, not merge a hole.
-            outcomes = self._shard_outcomes(shard)
+            # final store must hold a row of the shard for every fault.
+            # Rows can be lost in flight — sendall() into a connection
+            # a fault (or a chaos proxy) already cut succeeds locally,
+            # so the worker has nothing left to re-send — and a
+            # complete that outlives its rows must requeue the shard,
+            # not merge a hole.
+            outcomes = job.outcomes.get(shard.shard_id, {})
             missing = sorted(set(shard.indices) - outcomes.keys())
             if missing:
                 LOGGER.warning(
@@ -1276,7 +1221,7 @@ class Coordinator:
             return  # the other holder of a reassigned shard got here first
         # Shards merge strictly in chunk order: an out-of-order
         # completion buffers until every earlier chunk has merged.
-        job.ready[shard.shard_id] = (peer.name, frame, outcomes)
+        job.ready[shard.shard_id] = (peer.name, frame)
         self._pump(job)
         self._feed_waiting_workers()
 
@@ -1300,13 +1245,12 @@ class Coordinator:
             return
         if job.active or job.queue or job.ready:
             return
-        store = self._final_store()
+        self._drop_provisional(job)
         execution = self._combined_execution(job)
-        status = "complete" if not job.failed else "errors"
-        store.record_execution(job.campaign_id, execution, status=status)
         job.state = "complete" if not job.failed else "errors"
-        self._ledger.record("job_finished", job=job.job_id,
-                            state=job.state)
+        self._final_store().record_execution(
+            job.campaign_id, execution, status=job.state,
+        )
         _journal.emit(
             "campaign_finished", name=job.name, execution=execution,
         )
@@ -1326,7 +1270,7 @@ class Coordinator:
             "shards": len(job.shards),
             "shards_merged": len(job.merged),
             "shards_failed": len(job.failed),
-            "completed": len(job.seen_rows),
+            "completed": job.rows,
             "wall_s": round(monotonic() - job.wall_start, 6),
         }
         for key in ("golden_events", "fault_events", "kernel_events",
@@ -1341,10 +1285,15 @@ class Coordinator:
             execution["sampling"] = job.plan.summary()
         return execution
 
+    def _drop_provisional(self, job):
+        """Delete the rows of every shard the job did not merge."""
+        self._final_store().drop_provisional_rows(job.campaign_id)
+        for shard_id in set(job.outcomes) - job.merged:
+            del job.outcomes[shard_id]
+
     def _abort_job(self, job, message):
         job.state = "aborted"
-        self._ledger.record("job_finished", job=job.job_id,
-                            state="aborted")
+        self._drop_provisional(job)
         self._final_store().record_execution(
             job.campaign_id,
             {"mode": "distributed", "error": message},

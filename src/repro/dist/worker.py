@@ -6,9 +6,9 @@ supervision and retry all behave exactly as they do locally, because
 the shard's sub-spec *is* a campaign spec.  What differs is the store:
 a :class:`RowStreamStore` ships every completed run row over the
 socket as it lands instead of writing SQLite, so the coordinator's
-per-shard database grows while the shard is still running and a
-worker killed mid-shard forfeits only the rows it had not yet
-streamed.
+final store holds the shard's provisional rows while the shard is
+still running and a worker killed mid-shard forfeits only the rows it
+had not yet streamed.
 
 The worker is built to outlive its transport:
 
@@ -326,7 +326,7 @@ class RowStreamStore(StoreBackend):
     recorded run is translated back to its **global** fault index and
     content key (from the shard plan) before it leaves the process.
     Rows are sent as they land — one ``rows`` frame per terminal
-    outcome — so the coordinator's shard database is current to within
+    outcome — so the coordinator's final store is current to within
     one run at any kill point.
 
     ``stop`` (optional) is the graceful-shutdown hook: it is checked

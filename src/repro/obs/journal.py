@@ -68,13 +68,14 @@ EVENT_TYPES = (
     "shard_completed",       # job, shard, worker, rows, merged
     "shard_reassigned",      # job, shard, worker, reason
     # Crash tolerance (journal schema v2): coordinator resume from the
-    # durable ledger, worker reconnect/lease re-adoption, and the
+    # final store, worker reconnect/lease re-adoption, and the
     # transport's rejection/expiry decisions.
-    "coordinator_resumed",   # jobs, adopted, requeued, ledger
+    "coordinator_resumed",   # jobs, adopted, requeued, store
     "worker_reconnected",    # worker, job, shard, token
     "frame_rejected",        # peer, reason
     "lease_expired",         # job, shard, worker, reason
-    # Confidence-bounded adaptive sampling (journal schema v3).
+    # Confidence-bounded adaptive sampling — additive in journal
+    # schema v2, like the distributed events.
     "sample_chunk",          # chunk, round, size, pending, trials
     "sampling_stopped",      # reason, trials, estimate, half_width, skipped
     "stop_sampling",         # job, reason, revoked (distributed early stop)

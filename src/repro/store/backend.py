@@ -1,21 +1,18 @@
 """The campaign-store backend interface.
 
 The campaign runner was written against one concrete store — a single
-SQLite file — but a distributed campaign needs *several* kinds of
-sink behind the same method surface: per-shard databases merged at
-shard completion (so N writers never contend on one file), and a
-socket-streaming sink that ships rows to a remote coordinator instead
-of touching disk at all.  :class:`StoreBackend` names that surface:
-exactly the methods :meth:`~repro.campaign.runner.CampaignRunner.run`
-calls on its ``store`` argument.
+SQLite file — but a distributed worker needs another kind of sink
+behind the same method surface: a socket-streaming sink that ships
+rows to a remote coordinator instead of touching disk at all.
+:class:`StoreBackend` names that surface: exactly the methods
+:meth:`~repro.campaign.runner.CampaignRunner.run` calls on its
+``store`` argument.
 
 :class:`~repro.store.store.CampaignStore` (SQLite) is the reference
-implementation; :class:`~repro.store.sharded.ShardedCampaignStore`
-(one database per shard plus a deterministic merge) and
-:class:`~repro.dist.worker.RowStreamStore` (wire-protocol streaming)
-are the others.  The telemetry hooks (:meth:`record_journal`,
-:meth:`record_worker`) default to no-ops so lightweight backends only
-implement what they persist.
+implementation; :class:`~repro.dist.worker.RowStreamStore`
+(wire-protocol streaming) is the other.  The telemetry hooks
+(:meth:`record_journal`, :meth:`record_worker`) default to no-ops so
+lightweight backends only implement what they persist.
 """
 
 from __future__ import annotations

@@ -249,8 +249,8 @@ def comparisons_to_dict(comparisons):
     }
 
 
-#: The canonical per-run **row** schema shared by the campaign store,
-#: the per-shard databases and the distributed wire protocol: one
+#: The canonical per-run **row** schema shared by the campaign store
+#: and the distributed wire protocol: one
 #: JSON-ready dict per terminal run outcome.  ``idx`` is always the
 #: *global* fault index and ``key`` the fault's content digest
 #: (:func:`fault_key`), which is what shard-reassignment deduplication

@@ -71,7 +71,13 @@ from .serialize import (
 #:   never simulated because its estimate converged first ("skipped
 #:   by early stop", as opposed to "not sampled" = no row at all).
 #:   Older files migrate in place on open.
-SCHEMA_VERSION = 5
+#: * v6 — one durable record for distributed campaigns: a new ``jobs``
+#:   table (store-assigned job id, campaign, netlist, execution config,
+#:   shard size) replaces the coordinator's JSONL ledger, and
+#:   streamed rows land in ``runs`` directly, tagged with their
+#:   ``shard_id`` and *provisional* until that shard's ``shards`` row
+#:   reads ``merged``.  Older files gain the table on open.
+SCHEMA_VERSION = 6
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -133,6 +139,14 @@ CREATE TABLE IF NOT EXISTS shards (
     updated_at  TEXT NOT NULL,
     PRIMARY KEY (campaign_id, shard_id)
 );
+CREATE TABLE IF NOT EXISTS jobs (
+    id           INTEGER PRIMARY KEY AUTOINCREMENT,
+    campaign_id  INTEGER NOT NULL REFERENCES campaigns(id),
+    netlist_json TEXT,
+    config_json  TEXT,
+    shard_size   INTEGER NOT NULL,
+    created_at   TEXT NOT NULL
+);
 CREATE TABLE IF NOT EXISTS workers (
     campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
     pid         INTEGER NOT NULL,
@@ -155,9 +169,9 @@ def _now():
     return datetime.now(timezone.utc).isoformat()
 
 
-# Shared with the per-shard databases and the distributed wire
-# protocol (see repro.store.serialize); the old private names remain
-# as aliases for the rest of this module.
+# Shared with the distributed wire protocol (see
+# repro.store.serialize); the old private names remain as aliases for
+# the rest of this module.
 _classification_to_dict = classification_to_dict
 _comparisons_to_dict = comparisons_to_dict
 
@@ -190,6 +204,10 @@ class CampaignStore(StoreBackend):
             self._conn.execute("PRAGMA journal_mode=WAL")
         except sqlite3.Error:
             pass
+        # Every commit reaches the disk before it returns, whatever
+        # default SQLite was built with: the distributed coordinator's
+        # crash recovery rests on these commits alone.
+        self._conn.execute("PRAGMA synchronous=FULL")
         self._conn.execute("PRAGMA busy_timeout=5000")
         self._conn.executescript(_SCHEMA)
         self._migrate()
@@ -206,8 +224,9 @@ class CampaignStore(StoreBackend):
         untouched, so newer columns are added here; existing rows read
         back with the new columns NULL (``attempts`` NULL is treated
         as 1, ``quarantined`` defaults to 0), which is exactly what
-        the older campaign meant.  The ``workers`` (v3) and ``shards``
-        (v4) tables are new and created by the schema script itself.
+        the older campaign meant.  The ``workers`` (v3), ``shards``
+        (v4) and ``jobs`` (v6) tables are new and created by the
+        schema script itself.
         """
         columns = {
             row["name"]
@@ -625,46 +644,70 @@ class CampaignStore(StoreBackend):
             "chunk": row["sampling_chunk"],
         }
 
-    def record_row(self, campaign_id, row, shard_id=None, replace=False):
-        """Persist one run from its **row dict** rendering.
+    def record_row(self, campaign_id, row, shard_id=None):
+        """Persist one run from its **row dict** rendering (commits).
 
-        ``row`` follows the canonical schema of
-        :data:`~repro.store.serialize.ROW_FIELDS` — what the
-        distributed wire protocol streams and the per-shard databases
-        hold.  The default conflict policy is *first writer wins*
-        (``INSERT OR IGNORE``): shard reassignment is at-least-once,
-        so the same fault may legitimately arrive twice, and ignoring
-        the duplicate keeps the merged store deterministic regardless
-        of arrival order.  Commits immediately.
+        A one-row :meth:`record_shard_rows`; ``shard_id`` defaults to
+        the row's own.
         """
-        self._conn.execute(
-            "INSERT OR " + ("REPLACE" if replace else "IGNORE")
-            + " INTO runs (campaign_id, fault_idx, status, label,"
-            " classification_json, comparisons_json, metrics_json,"
+        self.record_shard_rows(campaign_id, shard_id, [row])
+
+    def record_shard_rows(self, campaign_id, shard_id, rows):
+        """Persist one streamed frame of row dicts in **one** transaction.
+
+        ``rows`` follow :data:`~repro.store.serialize.ROW_FIELDS` and
+        are tagged with ``shard_id``, provisional until the shard's
+        ``shards`` row reads ``merged``.  First writer wins (``INSERT
+        OR IGNORE``): reassignment is at-least-once, so a fault may
+        legitimately arrive twice, and ignoring the duplicate keeps
+        the store independent of arrival order.
+        """
+        now = _now()
+        self._conn.executemany(
+            "INSERT OR IGNORE INTO runs (campaign_id, fault_idx, status,"
+            " label, classification_json, comparisons_json, metrics_json,"
             " error, wall_s, kernel_events, completed_at, attempts,"
             " quarantined, postmortem, shard_id, stratum)"
             " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                campaign_id,
-                int(row["idx"]),
-                row["status"],
-                row.get("label"),
-                (None if row.get("classification") is None
-                 else json.dumps(row["classification"])),
-                (None if row.get("comparisons") is None
-                 else json.dumps(row["comparisons"])),
-                (None if row.get("metrics") is None
-                 else json.dumps(row["metrics"], default=str)),
-                row.get("error"),
-                row.get("wall_s"),
-                row.get("kernel_events"),
-                _now(),
-                row.get("attempts", 1),
-                1 if row.get("quarantined") else 0,
-                row.get("postmortem"),
-                shard_id if shard_id is not None else row.get("shard_id"),
-                row.get("stratum"),
-            ),
+            [
+                (
+                    campaign_id,
+                    int(row["idx"]),
+                    row["status"],
+                    row.get("label"),
+                    (None if row.get("classification") is None
+                     else json.dumps(row["classification"])),
+                    (None if row.get("comparisons") is None
+                     else json.dumps(row["comparisons"])),
+                    (None if row.get("metrics") is None
+                     else json.dumps(row["metrics"], default=str)),
+                    row.get("error"),
+                    row.get("wall_s"),
+                    row.get("kernel_events"),
+                    now,
+                    row.get("attempts", 1),
+                    1 if row.get("quarantined") else 0,
+                    row.get("postmortem"),
+                    shard_id if shard_id is not None else row.get("shard_id"),
+                    row.get("stratum"),
+                )
+                for row in rows
+            ],
+        )
+        self._conn.commit()
+
+    def drop_provisional_rows(self, campaign_id):
+        """Delete the rows of every shard not ``merged`` (one transaction).
+
+        Called when a distributed job stops: a finished campaign keeps
+        only the rows of merged shards (plus its ``skipped`` rows), so
+        a half-streamed or abandoned shard never reaches a report.
+        """
+        self._conn.execute(
+            "DELETE FROM runs WHERE campaign_id = ? AND shard_id IS NOT NULL"
+            " AND shard_id NOT IN (SELECT shard_id FROM shards"
+            " WHERE campaign_id = ? AND state = 'merged')",
+            (campaign_id, campaign_id),
         )
         self._conn.commit()
 
@@ -672,8 +715,8 @@ class CampaignStore(StoreBackend):
         """Every recorded run as a row dict, in fault-index order.
 
         The inverse of :meth:`record_row` (plus the fault's content
-        ``key`` joined in from the fault list), used by the shard
-        merge and by row-identity assertions in tests.
+        ``key`` joined in from the fault list), used by the
+        coordinator's resume and by row-identity assertions in tests.
         """
         rows = []
         for row in self._conn.execute(
@@ -716,9 +759,12 @@ class CampaignStore(StoreBackend):
         """Upsert one distributed shard's lifecycle row.
 
         The coordinator calls this as shards move through
-        ``pending`` -> ``leased`` -> ``merged`` (with ``leases``
-        counting at-least-once reassignments); ``campaign status`` and
-        post-mortem queries read it back via :meth:`shard_rows`.
+        ``queued`` -> ``leased`` -> ``merged`` (or ``failed`` past the
+        lease ceiling, ``abandoned`` by a sampling early stop), with
+        ``leases`` counting at-least-once reassignments.  ``merged``
+        makes the shard's provisional rows final.  ``campaign status``,
+        post-mortem queries and a resuming coordinator read it back via
+        :meth:`shard_rows`.
         """
         now = _now()
         cursor = self._conn.execute(
@@ -754,6 +800,47 @@ class CampaignStore(StoreBackend):
                 " updated_at FROM shards WHERE campaign_id = ?"
                 " ORDER BY shard_id",
                 (campaign_id,),
+            )
+        ]
+
+    def record_job(self, campaign_id, netlist, config, shard_size):
+        """Register a distributed job on a campaign; returns its job id.
+
+        The store assigns the id, so coordinators that take turns on
+        one store never reuse one.  Together with the campaign's spec,
+        sampling configuration and ``shards`` rows, the job row is
+        everything a restarted coordinator needs to resume the job.
+        """
+        cursor = self._conn.execute(
+            "INSERT INTO jobs (campaign_id, netlist_json, config_json,"
+            " shard_size, created_at) VALUES (?, ?, ?, ?, ?)",
+            (campaign_id, json.dumps(netlist), json.dumps(config),
+             int(shard_size), _now()),
+        )
+        self._conn.commit()
+        return cursor.lastrowid
+
+    def job_rows(self):
+        """Every distributed job, oldest first.
+
+        Returns a list of dicts (``job``, ``campaign_id``, ``name``,
+        ``status`` — the campaign's, ``running`` until the job is
+        terminal — ``netlist``, ``config``, ``shard_size``).
+        """
+        return [
+            {
+                "job": row["id"],
+                "campaign_id": row["campaign_id"],
+                "name": row["name"],
+                "status": row["status"],
+                "netlist": json.loads(row["netlist_json"]),
+                "config": json.loads(row["config_json"]),
+                "shard_size": row["shard_size"],
+            }
+            for row in self._conn.execute(
+                "SELECT j.id, j.campaign_id, j.netlist_json, j.config_json,"
+                " j.shard_size, c.name, c.status FROM jobs j"
+                " JOIN campaigns c ON c.id = j.campaign_id ORDER BY j.id"
             )
         ]
 

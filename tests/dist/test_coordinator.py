@@ -7,14 +7,20 @@ pins down what the fleet tests cannot force:
 * a later shard that completes first waits until every earlier shard
   has merged — shards merge strictly in chunk order — and the final
   store is still row-identical to a serial run;
+* every row is written once, to the final store: one commit per
+  ``rows`` frame, none by a merge, and a rejected frame writes nothing;
 * the shards an exhaustive job leases are exactly
-  :func:`~repro.dist.plan_shards`' slices, so shard databases written
+  :func:`~repro.dist.plan_shards`' slices, so provisional rows written
   from that plan are adopted by a resumed coordinator;
-* a resumed sampled job adopts complete chunk databases the same way.
+* a resumed sampled job adopts complete chunks the same way;
+* everything a resume needs — job ids, parameters, shard states and
+  lease counts — comes back from the store alone.
 """
 
 import json
+import os
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -22,13 +28,11 @@ from repro.campaign import run_campaign
 from repro.campaign.sampling import StratifiedSampler
 from repro.dist import (
     Coordinator,
-    CoordinatorLedger,
     Shard,
     ShardError,
     connect,
     execute_shard,
     plan_shards,
-    read_ledger,
     spawn_local_workers,
 )
 from repro.dist.shards import plan_chunk_shard
@@ -146,6 +150,7 @@ class TestOutOfOrderCompletion:
         return {
             "spec": spec, "leased": [shard for shard, _ in leased],
             "buffered": buffered, "status": status, "events": events,
+            "store": str(base / "dist.db"),
             "rows": store_rows(base / "dist.db", spec.name),
         }
 
@@ -182,35 +187,336 @@ class TestOutOfOrderCompletion:
             == [s.to_dict() for s in planned]
 
 
-class TestPlanShardDatabasesAdopt:
-    def test_resume_adopts_databases_written_from_plan_shards(
+    def test_finished_job_is_not_resumed(self, run, tmp_path):
+        coordinator = Coordinator(run["store"])
+        try:
+            resumed, event = resume_journaled(coordinator,
+                                              tmp_path / "resume.jsonl")
+        finally:
+            coordinator.stop()
+        assert resumed == []
+        assert event["jobs"] == 0
+
+
+def resume_journaled(coordinator, journal_path):
+    """``coordinator.resume()`` and the ``coordinator_resumed`` event."""
+    open_journal(str(journal_path))
+    try:
+        resumed = coordinator.resume()
+    finally:
+        close_journal()
+    with open(journal_path) as handle:
+        events = [json.loads(line) for line in handle if line.strip()]
+    return resumed, [event for event in events
+                     if event["event"] == "coordinator_resumed"][0]
+
+
+def commits(statements):
+    return sum(1 for stmt in statements if stmt.strip() == "COMMIT")
+
+
+def run_inserts(statements):
+    return sum(1 for stmt in statements if "INTO runs" in stmt)
+
+
+class TestOneWritePerRow:
+    def test_frames_commit_once_and_merges_copy_nothing(self, tmp_path,
+                                                        serial_rows):
+        """Each ``rows`` frame is one transaction on the final store;
+        merging a shard writes no run row; nothing else lands on disk."""
+        spec = make_spec()
+        store_path = tmp_path / "dist.db"
+        # No lease may expire mid-test: a revocation is one more commit.
+        coordinator = Coordinator(str(store_path), shard_size=SHARD_SIZE,
+                                  lease_timeout_s=300.0)
+        statements = []
+        worker = None
+        try:
+            job = coordinator.submit(spec)
+            coordinator._store._conn.set_trace_callback(statements.append)
+            coordinator.start()
+            worker = HandWorker(coordinator.address)
+            leased = [worker.lease() for _ in range(3)]
+            delivered = 0
+            for shard, token in leased:
+                frames, complete = shard_frames(shard)
+                for rows in frames:
+                    mark = len(statements)
+                    worker.conn.send("rows", token=token, rows=rows)
+                    delivered += len(rows)
+                    wait_until(lambda: coordinator.job_status(job)["rows"]
+                               == delivered)
+                    assert commits(statements[mark:]) <= 1
+                mark = len(statements)
+                worker.conn.send("complete", token=token, **complete)
+                wait_until(lambda: coordinator.job_status(job)["merged"]
+                           == shard.shard_id + 1)
+                assert run_inserts(statements[mark:]) == 0
+            status = coordinator.wait(job, timeout=30)
+        finally:
+            if worker is not None:
+                worker.close()
+            coordinator.stop()
+        assert status["state"] == "complete"
+        assert run_inserts(statements) == len(spec.faults)
+        assert identity(store_rows(store_path, spec.name)) \
+            == identity(serial_rows)
+        assert set(os.listdir(tmp_path)) \
+            <= {"dist.db", "dist.db-wal", "dist.db-shm"}
+
+    def test_rejected_frame_writes_nothing(self, tmp_path, serial_rows):
+        """A frame with one row outside its shard is refused whole."""
+        spec = make_spec()
+        store_path = tmp_path / "dist.db"
+        coordinator = Coordinator(str(store_path), shard_size=SHARD_SIZE)
+        worker = None
+        try:
+            job = coordinator.submit(spec)
+            coordinator.start()
+            worker = HandWorker(coordinator.address)
+            leased = [worker.lease() for _ in range(3)]
+            payloads = [shard_frames(shard) for shard, _ in leased]
+            first_row = payloads[0][0][0][0]
+            worker.conn.send("rows", token=leased[0][1],
+                             rows=[first_row, dict(first_row, idx=99)])
+            assert worker.conn.recv(timeout=10)["frame"] == "error"
+            assert coordinator.job_status(job)["rows"] == 0
+            assert store_rows(store_path, spec.name) == []
+            for (_shard, token), (rows, complete) in zip(leased, payloads):
+                worker.deliver(token, rows, complete)
+            status = coordinator.wait(job, timeout=30)
+        finally:
+            if worker is not None:
+                worker.close()
+            coordinator.stop()
+        assert status["state"] == "complete"
+        assert identity(store_rows(store_path, spec.name)) \
+            == identity(serial_rows)
+
+
+class TestLeaseCeiling:
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """Shard 1 streams two rows, then errors, on both of its leases."""
+        store_path = tmp_path_factory.mktemp("ceiling") / "dist.db"
+        spec = make_spec()
+        coordinator = Coordinator(str(store_path), shard_size=SHARD_SIZE,
+                                  max_leases=2)
+        worker = None
+        try:
+            job = coordinator.submit(spec)
+            coordinator.start()
+            worker = HandWorker(coordinator.address)
+            leased = [worker.lease() for _ in range(3)]
+            for shard, token in (leased[0], leased[2]):
+                worker.deliver(token, *shard_frames(shard))
+            shard, token = leased[1]
+            for attempt in range(2):
+                if attempt:
+                    shard, token = worker.lease()
+                    assert shard.shard_id == 1
+                for rows in shard_frames(shard)[0][:2]:
+                    worker.conn.send("rows", token=token, rows=rows)
+                worker.conn.send("error", token=token, message="poisoned")
+            status = coordinator.wait(job, timeout=30)
+        finally:
+            if worker is not None:
+                worker.close()
+            coordinator.stop()
+        with CampaignStore(str(store_path)) as store:
+            shards = store.shard_rows(spec.name)
+        return {"spec": spec, "status": status, "shards": shards,
+                "store": str(store_path),
+                "rows": store_rows(store_path, spec.name)}
+
+    def test_job_ends_with_errors(self, run):
+        status = run["status"]
+        assert status["state"] == "errors"
+        assert status["failed"] == [1]
+        assert status["merged"] == 2
+
+    def test_shards_table_records_the_failure(self, run):
+        states = {row["shard_id"]: (row["state"], row["leases"])
+                  for row in run["shards"]}
+        assert states == {0: ("merged", 1), 1: ("failed", 2),
+                          2: ("merged", 1)}
+
+    def test_failed_shard_leaves_no_rows(self, run, serial_rows):
+        failed = set(plan_shards(run["spec"], SHARD_SIZE)[1].indices)
+        assert not failed & {row["idx"] for row in run["rows"]}
+        assert identity(run["rows"]) == identity(
+            [row for row in serial_rows if row["idx"] not in failed]
+        )
+
+    def test_nothing_to_resume(self, run):
+        coordinator = Coordinator(run["store"])
+        try:
+            assert coordinator.resume() == []
+        finally:
+            coordinator.stop()
+
+
+class TestResumeFromStore:
+    SIZE = 3   # 12 faults -> 4 shards
+
+    @pytest.fixture
+    def crashed(self, tmp_path):
+        """A job stopped mid-flight with one shard in every state:
+        0 merged, 1 leased, 2 revoked once (queued), 3 failed."""
+        store_path = str(tmp_path / "dist.db")
+        coordinator = Coordinator(store_path, shard_size=self.SIZE,
+                                  max_leases=2)
+        worker = None
+        try:
+            job = coordinator.submit(make_spec())
+            coordinator.start()
+            worker = HandWorker(coordinator.address)
+            leased = {}
+            for _ in range(4):
+                shard, token = worker.lease()
+                leased[shard.shard_id] = (shard, token)
+            worker.deliver(leased[0][1], *shard_frames(leased[0][0]))
+            worker.conn.send("error", token=leased[3][1], message="x")
+            shard, token = worker.lease()
+            assert shard.shard_id == 3
+            worker.conn.send("error", token=token, message="x")
+            worker.conn.send("error", token=leased[2][1], message="x")
+            wait_until(lambda: coordinator.job_status(job)["queued"] == 1)
+        finally:
+            # Stop first, as a crash would: a goodbye would revoke the
+            # lease shard 1 is meant to hold.
+            coordinator.stop()
+            if worker is not None:
+                worker.conn.close()
+        with CampaignStore(store_path) as store:
+            states = {row["shard_id"]: (row["state"], row["leases"])
+                      for row in store.shard_rows("par")}
+        assert states == {0: ("merged", 1), 1: ("leased", 1),
+                          2: ("queued", 1), 3: ("failed", 2)}
+        return store_path
+
+    def test_merged_adopted_failed_stay_failed(self, crashed, tmp_path):
+        coordinator = Coordinator(crashed, shard_size=self.SIZE,
+                                  max_leases=2)
+        try:
+            resumed, event = resume_journaled(coordinator,
+                                              tmp_path / "resume.jsonl")
+            status = coordinator.job_status(1)
+        finally:
+            coordinator.stop()
+        assert resumed == [1]
+        assert (event["adopted"], event["requeued"]) == (1, 2)
+        assert status["merged"] == 1
+        assert status["failed"] == [3]
+        assert status["queued"] == 2
+        with CampaignStore(crashed) as store:
+            states = {row["shard_id"]: (row["state"], row["leases"])
+                      for row in store.shard_rows("par")}
+        # Adoption keeps the merged shard's lease count: no credit.
+        assert states[0] == ("merged", 1)
+        assert states[3] == ("failed", 2)
+
+    def test_lease_counts_carry_over(self, crashed):
+        """Shard 1 was leased at the crash: that lease is credited back.
+        Shard 2's lease was revoked before it: the strike stays."""
+        coordinator = Coordinator(crashed, shard_size=self.SIZE,
+                                  max_leases=2)
+        worker = None
+        try:
+            assert coordinator.resume() == [1]
+            coordinator.start()
+            worker = HandWorker(coordinator.address)
+            tokens = {shard.shard_id: token
+                      for shard, token in (worker.lease(), worker.lease())}
+        finally:
+            if worker is not None:
+                worker.close()
+            coordinator.stop()
+        assert tokens == {1: "1:1:1", 2: "1:2:2"}
+
+    def test_job_parameters_come_back(self, tmp_path):
+        spec = sampled_spec("params")
+        netlist = {"name": "dut", "instances": []}
+        config = {"warm_start": True}
+        sampling = {"margin": 0.2, "confidence": 0.9, "seed": 7,
+                    "strata": "site"}
+        store_path = str(tmp_path / "dist.db")
+        coordinator = Coordinator(store_path, shard_size=5)
+        try:
+            coordinator.submit(spec, netlist=netlist, config=config,
+                               sampling=sampling)
+        finally:
+            coordinator.stop()
+        coordinator = Coordinator(store_path)   # default shard size
+        worker = None
+        try:
+            assert coordinator.resume() == [1]
+            status = coordinator.job_status(1)
+            coordinator.start()
+            worker = HandWorker(coordinator.address)
+            shard, _token = worker.lease()
+        finally:
+            if worker is not None:
+                worker.close()
+            coordinator.stop()
+        first = StratifiedSampler(spec.faults, chunk=5, **sampling)
+        assert status["sampled"] is True
+        assert shard.netlist == netlist
+        assert shard.config == config
+        assert shard.size == 5
+        assert shard.indices == list(first.next_chunk().indices)
+
+    def test_job_ids_are_unique_across_coordinators(self, tmp_path):
+        """Coordinators taking turns on one store never reuse an id."""
+        store_path = str(tmp_path / "dist.db")
+        specs = [make_spec(), sampled_spec("second")]
+        ids = []
+        for spec in specs:
+            coordinator = Coordinator(store_path, shard_size=SHARD_SIZE)
+            try:
+                ids.append(coordinator.submit(spec))
+            finally:
+                coordinator.stop()
+        assert ids == [1, 2]
+        coordinator = Coordinator(store_path, shard_size=SHARD_SIZE)
+        try:
+            assert coordinator.resume() == [1, 2]
+            statuses = [coordinator.job_status(job) for job in ids]
+        finally:
+            coordinator.stop()
+        assert [status["name"] for status in statuses] \
+            == [spec.name for spec in specs]
+        assert [status["queued"] for status in statuses] \
+            == [len(spec.faults) // SHARD_SIZE for spec in specs]
+
+
+class TestPlanShardRowsAdopt:
+    def test_resume_adopts_rows_written_from_plan_shards(
         self, tmp_path, serial_rows
     ):
-        """Shard databases filled from ``plan_shards``' slices — the
+        """Provisional rows written from ``plan_shards``' slices — the
         static plan a coordinator used to lease from — are complete
         shards to a resumed coordinator: adopted, not re-run."""
         spec = make_spec()
         store_path = tmp_path / "dist.db"
-        ledger_path = tmp_path / "ledger.jsonl"
-        write_submitted_job(store_path, ledger_path, spec, SHARD_SIZE)
-        with ShardedCampaignStore(str(store_path) + ".shards") as sharded:
+        with write_submitted_job(store_path, spec, SHARD_SIZE) as sharded:
             for shard in plan_shards(spec, SHARD_SIZE):
                 rows, _complete = shard_frames(shard)
                 for batch in rows:
-                    for row in batch:
-                        sharded.ingest_row(shard, row)
+                    sharded.ingest_row(shard, batch)
 
-        coordinator = Coordinator(str(store_path), shard_size=SHARD_SIZE,
-                                  ledger_path=str(ledger_path))
+        coordinator = Coordinator(str(store_path), shard_size=SHARD_SIZE)
         try:
-            assert coordinator.resume_from_ledger() == [1]
+            resumed, event = resume_journaled(coordinator,
+                                              tmp_path / "resume.jsonl")
             status = coordinator.job_status(1)
         finally:
             coordinator.stop()
+        assert resumed == [1]
         assert status["state"] == "complete"
         assert status["merged"] == status["shards"] == 3
-        assert resumed_record(ledger_path)["adopted"] == 3
-        assert resumed_record(ledger_path)["requeued"] == 0
+        assert event["adopted"] == 3
+        assert event["requeued"] == 0
         assert identity(store_rows(store_path, spec.name)) \
             == identity(serial_rows)
 
@@ -225,7 +531,7 @@ class TestSampledAdoption:
         return [tuple(row[key] for key in self.SAMPLED_IDENTITY)
                 for row in store_rows(path, name)]
 
-    def test_resume_adopts_complete_chunk_databases(self, tmp_path):
+    def test_resume_adopts_complete_chunks(self, tmp_path):
         """The first two chunks finished on a worker before the crash:
         the resumed sampled job adopts them instead of re-running them
         and still lands on the single-host sampled store."""
@@ -236,14 +542,12 @@ class TestSampledAdoption:
                          on_error="collect", store=store, **self.SAMPLING)
 
         store_path = tmp_path / "dist.db"
-        ledger_path = tmp_path / "ledger.jsonl"
-        write_submitted_job(store_path, ledger_path, spec, self.CHUNK,
-                            sampling=self.SAMPLING)
         sampler = StratifiedSampler(spec.faults, chunk=self.CHUNK,
                                     **self.SAMPLING)
         base = spec_to_dict(spec)
         keys = [fault_key(fault) for fault in spec.faults]
-        with ShardedCampaignStore(str(store_path) + ".shards") as sharded:
+        with write_submitted_job(store_path, spec, self.CHUNK,
+                                 sampling=self.SAMPLING) as sharded:
             for _ in range(2):
                 chunk = sampler.next_chunk()
                 shard = plan_chunk_shard(base, keys, chunk.ident,
@@ -252,14 +556,15 @@ class TestSampledAdoption:
                 for batch in rows:
                     for row in batch:
                         row["stratum"] = sampler.stratum_of(row["idx"])
-                        sharded.ingest_row(shard, row)
+                    sharded.ingest_row(shard, batch)
 
-        coordinator = Coordinator(str(store_path), shard_size=self.CHUNK,
-                                  ledger_path=str(ledger_path))
+        coordinator = Coordinator(str(store_path), shard_size=self.CHUNK)
         coordinator.drain_when_idle(True)
         processes = []
         try:
-            assert coordinator.resume_from_ledger() == [1]
+            resumed, event = resume_journaled(coordinator,
+                                              tmp_path / "resume.jsonl")
+            assert resumed == [1]
             assert coordinator.job_status(1)["merged"] == 2
             coordinator.start()
             processes = spawn_local_workers(coordinator.address, 1,
@@ -272,31 +577,25 @@ class TestSampledAdoption:
                 if process.is_alive():
                     process.terminate()
         assert status["state"] == "complete", status
-        assert resumed_record(ledger_path)["adopted"] == 2
+        assert event["adopted"] == 2
         assert self.sampled_rows(store_path, spec.name) \
             == self.sampled_rows(reference, spec.name)
 
 
-def write_submitted_job(store_path, ledger_path, spec, shard_size,
-                        sampling=None):
-    """The state a coordinator leaves on disk right after ``submit``."""
+@contextmanager
+def write_submitted_job(store_path, spec, shard_size, sampling=None):
+    """The store a coordinator leaves right after ``submit``.
+
+    Yields the campaign's :class:`ShardedCampaignStore`, for the test
+    to stream provisional rows into as a coordinator would.
+    """
     with CampaignStore(str(store_path)) as store:
         campaign_id = store.open_campaign(spec)
         if sampling is not None:
             store.record_sampling(campaign_id, 0, sampling["margin"], 0.95,
                                   "site-phase", shard_size)
-    ledger = CoordinatorLedger(str(ledger_path))
-    ledger.record(
-        "job_submitted", job=1, name=spec.name, spec=spec_to_dict(spec),
-        netlist=None, config=None, shard_size=shard_size, shards=0,
-        sampling=sampling,
-    )
-    ledger.close()
-
-
-def resumed_record(ledger_path):
-    return [r for r in read_ledger(str(ledger_path))
-            if r["rec"] == "resumed"][0]
+        store.record_job(campaign_id, None, None, shard_size)
+        yield ShardedCampaignStore(store, campaign_id)
 
 
 class TestSubmit:

@@ -8,15 +8,15 @@ over real sockets with real process kills:
   produces a final store **row-identical** to a serial run — worker
   reconnect plus row dedup absorb every injected fault;
 * SIGKILLing the *coordinator* mid-campaign and restarting it with
-  ``resume_from_ledger`` adopts already-merged shards from disk,
+  ``resume`` adopts already-merged shards from the final store,
   requeues the rest, lets the (still running, backoff-looping)
   workers reconnect, and finishes — again row-identical, every fault
   exactly once;
-* the ledger records the resume, and the restarted coordinator's
-  journal narrates it.
+* the store records one job, finished, and the restarted
+  coordinator's journal narrates the resume.
 
-Artifacts (ledger + journals) land in ``REPRO_ARTIFACT_DIR`` when CI
-sets it, so a failed run ships its own flight recording.
+Artifacts (the store and the journals) land in ``REPRO_ARTIFACT_DIR``
+when CI sets it, so a failed run ships its own flight recording.
 """
 
 import json
@@ -24,6 +24,7 @@ import multiprocessing
 import os
 import signal
 import socket
+import sqlite3
 import time
 
 import pytest
@@ -33,7 +34,6 @@ from repro.dist import (
     ChaosConfig,
     ChaosProxy,
     Coordinator,
-    read_ledger,
     spawn_local_workers,
 )
 from repro.obs import journal as obs_journal
@@ -58,25 +58,23 @@ def free_port():
     return port
 
 
-def _coordinator_main(store_path, ledger_path, journal_path, port,
-                      resume):
+def _coordinator_main(store_path, journal_path, port, resume):
     """Coordinator child body: serve one job to completion, then exit.
 
     First incarnation (``resume=False``) submits the campaign; a
-    restarted incarnation rebuilds its world from the ledger instead.
+    restarted incarnation rebuilds its world from the store instead.
     Exit code 0 means every job reached ``complete``.
     """
     obs_journal.JOURNAL.close()   # the fork duplicated the parent's
     obs_journal.open_journal(journal_path)
     coordinator = Coordinator(
         store_path, host="127.0.0.1", port=port, shard_size=2,
-        lease_timeout_s=60.0, ledger_path=ledger_path,
-        reconnect_grace_s=30.0,
+        lease_timeout_s=60.0, reconnect_grace_s=30.0,
     )
     coordinator.drain_when_idle(True)
     try:
         if resume:
-            job_ids = coordinator.resume_from_ledger(ledger_path)
+            job_ids = coordinator.resume()
         else:
             job_ids = [coordinator.submit(make_spec())]
         coordinator.start()
@@ -90,29 +88,35 @@ def _coordinator_main(store_path, ledger_path, journal_path, port,
     os._exit(0 if ok else 1)
 
 
-def spawn_coordinator(context, store_path, ledger_path, journal_path,
-                      port, resume=False):
+def spawn_coordinator(context, store_path, journal_path, port,
+                      resume=False):
     process = context.Process(
         target=_coordinator_main,
-        args=(str(store_path), str(ledger_path), str(journal_path),
-              port, resume),
+        args=(str(store_path), str(journal_path), port, resume),
         daemon=True,
     )
     process.start()
     return process
 
 
-def wait_for_ledger_record(ledger_path, kind, timeout=120.0):
-    """Poll the ledger until a record of ``kind`` lands (durably)."""
+def wait_for_merged_shard(store_path, timeout=120.0):
+    """Poll the store until a shard is durably merged."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if os.path.exists(ledger_path):
-            if any(r.get("rec") == kind for r in read_ledger(ledger_path)):
-                return
+        if os.path.exists(store_path):
+            conn = sqlite3.connect(store_path)
+            try:
+                if conn.execute(
+                    "SELECT 1 FROM shards WHERE state = 'merged'"
+                ).fetchone():
+                    return
+            except sqlite3.OperationalError:
+                pass   # the coordinator is still creating the schema
+            finally:
+                conn.close()
         time.sleep(0.05)
     raise AssertionError(
-        f"no {kind!r} record appeared in {ledger_path} "
-        f"within {timeout}s"
+        f"no shard merged into {store_path} within {timeout}s"
     )
 
 
@@ -181,7 +185,7 @@ class TestChaosIdentity:
 
 @needs_fork
 class TestCoordinatorKillResume:
-    """SIGKILL the coordinator mid-campaign; resume from the ledger."""
+    """SIGKILL the coordinator mid-campaign; resume from the store."""
 
     @pytest.fixture(scope="class")
     def artifact_dir(self, tmp_path_factory):
@@ -210,8 +214,11 @@ class TestCoordinatorKillResume:
         their reconnect loops alone.
         """
         context = multiprocessing.get_context("fork")
-        store_path = tmp_path_factory.mktemp("killed") / "dist.db"
-        ledger_path = os.path.join(artifact_dir, "coordinator.ledger.jsonl")
+        # The store is the resume evidence: it ships with the journals.
+        store_path = os.path.join(artifact_dir, "coordinator.db")
+        for suffix in ("", "-wal", "-shm"):
+            if os.path.exists(store_path + suffix):
+                os.remove(store_path + suffix)
         journal_a = os.path.join(artifact_dir, "coordinator-a.jsonl")
         journal_b = os.path.join(artifact_dir, "coordinator-b.jsonl")
         port = free_port()
@@ -221,7 +228,7 @@ class TestCoordinatorKillResume:
         ).start()
         workers = []
         incarnation_a = spawn_coordinator(
-            context, store_path, ledger_path, journal_a, port,
+            context, store_path, journal_a, port,
         )
         try:
             workers = spawn_local_workers(
@@ -231,12 +238,11 @@ class TestCoordinatorKillResume:
             # Durable progress first: at least one shard must be
             # merged into the final store before the kill, so the
             # resume provably *adopts* work instead of redoing it all.
-            wait_for_ledger_record(ledger_path, "shard_merged")
+            wait_for_merged_shard(store_path)
             os.kill(incarnation_a.pid, signal.SIGKILL)
             incarnation_a.join(timeout=10.0)
             incarnation_b = spawn_coordinator(
-                context, store_path, ledger_path, journal_b, port,
-                resume=True,
+                context, store_path, journal_b, port, resume=True,
             )
             incarnation_b.join(timeout=300.0)
             assert not incarnation_b.is_alive(), \
@@ -248,31 +254,36 @@ class TestCoordinatorKillResume:
             reap(workers)
             if incarnation_a.is_alive():
                 incarnation_a.terminate()
-        return store_path, ledger_path, journal_b
+        return store_path, journal_b
 
     def test_rows_identical_to_serial(self, survived_coordinator_kill,
                                       serial_rows):
-        store_path, _ledger, _journal = survived_coordinator_kill
+        store_path, _journal = survived_coordinator_kill
         rows = store_rows(store_path, make_spec().name)
         assert [identity(row) for row in rows] \
             == [identity(row) for row in serial_rows]
 
     def test_every_fault_exactly_once(self, survived_coordinator_kill):
-        store_path, _ledger, _journal = survived_coordinator_kill
+        store_path, _journal = survived_coordinator_kill
         spec = make_spec()
         rows = store_rows(store_path, spec.name)
         assert [row["idx"] for row in rows] \
             == list(range(len(spec.faults)))
 
-    def test_ledger_records_the_resume(self, survived_coordinator_kill):
-        _store, ledger_path, _journal = survived_coordinator_kill
-        kinds = [r["rec"] for r in read_ledger(ledger_path)]
-        assert "resumed" in kinds
-        assert kinds.count("job_submitted") == 1   # never re-submitted
-        assert "job_finished" in kinds
+    def test_store_records_the_resume(self, survived_coordinator_kill):
+        store_path, journal_b = survived_coordinator_kill
+        with CampaignStore(store_path) as store:
+            jobs = store.job_rows()
+            status = store.status()[0]["status"]
+        assert len(jobs) == 1   # never re-submitted
+        assert status == "complete"
+        with open(journal_b) as handle:
+            kinds = [json.loads(line)["event"]
+                     for line in handle if line.strip()]
+        assert "coordinator_resumed" in kinds
 
     def test_resume_adopted_prior_work(self, survived_coordinator_kill):
-        _store, ledger_path, journal_b = survived_coordinator_kill
+        _store, journal_b = survived_coordinator_kill
         with open(journal_b) as handle:
             events = [json.loads(line) for line in handle if line.strip()]
         resumed = [e for e in events if e["event"] == "coordinator_resumed"]
@@ -285,7 +296,7 @@ class TestCoordinatorKillResume:
         assert resumed[0]["requeued"] >= 1
 
     def test_store_execution_is_complete(self, survived_coordinator_kill):
-        store_path, _ledger, _journal = survived_coordinator_kill
+        store_path, _journal = survived_coordinator_kill
         spec = make_spec()
         with CampaignStore(store_path) as store:
             result = store.load_result(spec.name)

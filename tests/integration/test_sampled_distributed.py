@@ -7,19 +7,21 @@ guarantees under test are strong:
 * a 3-worker sampled run produces a final store **row-identical** to
   a single-host sampled run with ``chunk == shard_size`` — same rows,
   same strata, same skipped set, same estimate;
-* convergence mid-flight revokes outstanding leases and the ledger
-  records the ``stop_sampling`` decision;
+* convergence mid-flight revokes outstanding leases, and the store
+  records the stop: ``skipped`` rows and the sampling summary;
 * killing the coordinator after a partial merge and resuming from the
-  ledger continues the identical draw sequence to the identical final
+  store continues the identical draw sequence to the identical final
   store.
 """
 
+import json
 import time
 
 import pytest
 
 from repro.campaign import CampaignSpec, exhaustive_bitflips, run_campaign
-from repro.dist import Coordinator, read_ledger, run_distributed, spawn_local_workers
+from repro.dist import Coordinator, run_distributed, spawn_local_workers
+from repro.obs.journal import close_journal, open_journal
 from repro.store import CampaignStore
 
 from ..store.test_resume import factory, needs_fork
@@ -102,13 +104,12 @@ class TestSampledResume:
         ref_rows, _ = single_host_reference(tmp_path_factory, "rsamp")
         base = tmp_path_factory.mktemp("resume")
         store_path = str(base / "dist.db")
-        ledger_path = str(base / "ledger.jsonl")
+        journal_path = str(base / "resume.jsonl")
         spec = make_spec("rsamp")
 
         # phase 1: one worker limited to two shards, then the
         # coordinator stops as if it crashed
-        coordinator = Coordinator(store_path, shard_size=CHUNK,
-                                  ledger_path=ledger_path)
+        coordinator = Coordinator(store_path, shard_size=CHUNK)
         procs = []
         try:
             job_id = coordinator.submit(
@@ -130,25 +131,31 @@ class TestSampledResume:
                 if proc.is_alive():
                     proc.terminate()
 
-        # phase 2: a fresh coordinator resumes from the ledger
-        coordinator = Coordinator(store_path, shard_size=CHUNK,
-                                  ledger_path=ledger_path)
+        # phase 2: a fresh coordinator resumes from the store
+        coordinator = Coordinator(store_path, shard_size=CHUNK)
         coordinator.drain_when_idle(True)
         procs = []
+        open_journal(journal_path)
         try:
-            assert coordinator.resume_from_ledger() == [job_id]
+            assert coordinator.resume() == [job_id]
             coordinator.start()
             procs = spawn_local_workers(coordinator.address, 2, factory)
             status = coordinator.wait(job_id, timeout=300)
             assert status["state"] == "complete", status
         finally:
             coordinator.stop()
+            close_journal()
             for proc in procs:
                 proc.join(timeout=10)
                 if proc.is_alive():
                     proc.terminate()
 
         assert store_rows(store_path, "rsamp") == ref_rows
-        kinds = [record["rec"] for record in read_ledger(ledger_path)]
+        with CampaignStore(store_path) as store:
+            assert len(store.job_rows()) == 1
+            assert store.status()[0]["status"] == "complete"
+        with open(journal_path) as handle:
+            kinds = [json.loads(line)["event"]
+                     for line in handle if line.strip()]
         assert "stop_sampling" in kinds
-        assert "resumed" in kinds
+        assert "coordinator_resumed" in kinds

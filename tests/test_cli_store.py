@@ -7,6 +7,8 @@ import pytest
 from repro.cli import main
 from repro.store import CampaignStore
 
+from .store.test_resume import make_spec
+
 NETLIST = {
     "name": "dut",
     "dt": "1ns",
@@ -214,3 +216,40 @@ class TestArgvCompatibility:
         assert main(["campaign", netlist_file, fault_file,
                      "--until", "300ns"]) == 0
         assert "classification summary" in capsys.readouterr().out
+
+
+class TestServeResume:
+    """``campaign serve --resume`` reads the jobs the store records."""
+
+    @pytest.fixture
+    def finished_db(self, tmp_path):
+        db = str(tmp_path / "dist.db")
+        with CampaignStore(db) as store:
+            campaign_id = store.open_campaign(make_spec())
+            store.record_job(campaign_id, None, None, 4)
+            store.record_execution(campaign_id, {"mode": "distributed"})
+        return db
+
+    def serve(self, *argv):
+        return main(["campaign", "serve", "--listen", "127.0.0.1:0",
+                     "--resume", *argv])
+
+    def test_terminal_jobs_leave_nothing_to_resume(self, finished_db,
+                                                   capsys):
+        assert self.serve("--db", finished_db) == 0
+        assert "nothing to resume" in capsys.readouterr().err
+
+    def test_missing_store_fails(self, tmp_path, capsys):
+        db = tmp_path / "absent.db"
+        assert self.serve("--db", str(db)) == 2
+        assert "--resume needs an existing store" in capsys.readouterr().err
+        assert not db.exists()
+
+    def test_ledger_flag_is_accepted_and_ignored(self, finished_db,
+                                                 tmp_path, capsys):
+        ledger = tmp_path / "dist.db.ledger.jsonl"
+        assert self.serve("--db", finished_db, "--ledger", str(ledger)) == 0
+        err = capsys.readouterr().err
+        assert "--ledger is ignored" in err
+        assert "nothing to resume" in err
+        assert not ledger.exists()
