@@ -56,6 +56,7 @@ from ..obs.flightrec import (
     write_postmortem,
     write_worker_postmortem,
 )
+from ..store.serialize import result_to_row
 from .classify import (
     RUN_CRASHED,
     RUN_DIVERGED,
@@ -1656,10 +1657,11 @@ class CampaignRunner:
                 )
                 if store is not None:
                     if batch:
-                        store_rows.append(
-                            (index, run_result, wall_s, events, attempts,
-                             stratum)
-                        )
+                        store_rows.append(result_to_row(
+                            index, None, run_result, wall_s=wall_s,
+                            kernel_events=events, attempts=attempts,
+                            stratum=stratum,
+                        ))
                     else:
                         write_start = perf_counter()
                         store.record_run(
@@ -1698,10 +1700,9 @@ class CampaignRunner:
             # Quarantined faults that were skipped this execution keep
             # their stored terminal error, so the merged result still
             # accounts for every fault in the spec.
-            fresh = {err.index for err in errors}
             for stored_err in store.load_errors(campaign_id, self.spec.faults):
                 if (
-                    stored_err.index not in fresh
+                    stored_err.index not in session_error_indices
                     and stored_err.index not in merged
                 ):
                     errors.append(stored_err)

@@ -90,8 +90,8 @@ DEFAULT_MAX_LEASES = 3
 #: half-streamed shard).
 DEFAULT_RECONNECT_GRACE_S = 10.0
 
-#: Default seconds a connected-but-silent peer may go without
-#: completing its hello before it is reaped.
+#: Seconds a connected-but-silent peer may go without completing its
+#: hello before it is reaped.
 DEFAULT_HELLO_TIMEOUT_S = 30.0
 
 #: Malformed frames tolerated from one peer before it is disconnected.
@@ -121,7 +121,6 @@ class _Peer:
         self.pid = None
         self.waiting = False   # parked lease_request (no work yet)
         self.connected_at = monotonic()
-        self.last_activity = monotonic()
 
 
 class _Lease:
@@ -235,11 +234,6 @@ class Coordinator:
     :param lease_wall_s: optional wall-clock ceiling per lease — a
         shard still leased after this many seconds requeues even if
         its worker keeps heartbeating (None: heartbeats alone govern).
-    :param hello_timeout_s: seconds a connected socket may sit without
-        completing its hello before it is reaped.
-    :param client_idle_s: optional idle ceiling for hello'd clients
-        (workers are never idle-reaped: a parked lease request is
-        legitimately silent).
     """
 
     def __init__(self, store_path, host="127.0.0.1", port=0,
@@ -247,17 +241,13 @@ class Coordinator:
                  lease_timeout_s=DEFAULT_LEASE_TIMEOUT_S,
                  max_leases=DEFAULT_MAX_LEASES,
                  reconnect_grace_s=DEFAULT_RECONNECT_GRACE_S,
-                 lease_wall_s=None,
-                 hello_timeout_s=DEFAULT_HELLO_TIMEOUT_S,
-                 client_idle_s=None):
+                 lease_wall_s=None):
         self.store_path = str(store_path)
         self.shard_size = shard_size
         self.lease_timeout_s = lease_timeout_s
         self.max_leases = max_leases
         self.reconnect_grace_s = reconnect_grace_s
         self.lease_wall_s = lease_wall_s
-        self.hello_timeout_s = hello_timeout_s
-        self.client_idle_s = client_idle_s
         self._lock = threading.RLock()
         self._selector = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -582,7 +572,6 @@ class Coordinator:
         if not chunk:
             self._disconnect(peer, reason="eof")
             return
-        peer.last_activity = monotonic()
         # The buffer is tolerant: malformed or oversized lines come
         # back as rejects, never as an exception that could take the
         # selector loop (or this peer's later valid frames) with them.
@@ -676,24 +665,20 @@ class Coordinator:
                 )
 
     def _reap_idle_peers(self):
-        """Close sockets that never hello'd or clients gone idle.
+        """Close sockets that never completed their hello.
 
         Half-open connections (a SYN-scan, a crashed client, a NAT
-        timeout) otherwise accumulate forever in the selector.
-        Workers are exempt once hello'd — a parked lease request is
+        timeout) otherwise accumulate forever in the selector.  A
+        hello'd peer is never reaped here — a parked lease request is
         legitimately silent for as long as the queue is empty.
         """
         now = monotonic()
         for peer in list(self._peers.values()):
-            if peer.role is None:
-                if now - peer.connected_at > self.hello_timeout_s:
-                    LOGGER.info("reaping %s: no hello in %.0fs",
-                                peer.name, self.hello_timeout_s)
-                    self._disconnect(peer, reason="hello-timeout")
-            elif peer.role == "client" and self.client_idle_s:
-                if now - peer.last_activity > self.client_idle_s:
-                    LOGGER.info("reaping idle client %s", peer.name)
-                    self._disconnect(peer, reason="idle")
+            if (peer.role is None
+                    and now - peer.connected_at > DEFAULT_HELLO_TIMEOUT_S):
+                LOGGER.info("reaping %s: no hello in %.0fs",
+                            peer.name, DEFAULT_HELLO_TIMEOUT_S)
+                self._disconnect(peer, reason="hello-timeout")
 
     def _shutdown_sockets(self):
         for peer in list(self._peers.values()):
@@ -960,14 +945,11 @@ class Coordinator:
         self._drop_provisional(job)
         estimate, (low, high) = sampler.pooled()
         _journal.emit(
-            "stop_sampling", job=job.job_id, reason=sampler.reason,
-            revoked=len(abandoned),
-        )
-        _journal.emit(
-            "sampling_stopped", reason=sampler.reason,
+            "sampling_stopped", job=job.job_id, reason=sampler.reason,
             trials=sampler.trials, estimate=estimate,
             half_width=(high - low) / 2.0,
             skipped=sampler.population - sampler.simulated,
+            revoked=len(abandoned),
         )
         store.record_skipped(
             job.campaign_id,

@@ -325,9 +325,10 @@ class RowStreamStore(StoreBackend):
     one: the shard sub-spec's faults are indexed ``0..n-1``, so every
     recorded run is translated back to its **global** fault index and
     content key (from the shard plan) before it leaves the process.
-    Rows are sent as they land — one ``rows`` frame per terminal
-    outcome — so the coordinator's final store is current to within
-    one run at any kill point.
+    Rows are rendered by :mod:`repro.store.serialize` and sent as they
+    land — one ``rows`` frame per terminal outcome, or per batch — so
+    the coordinator's final store is current to within one run at any
+    kill point.
 
     ``stop`` (optional) is the graceful-shutdown hook: it is checked
     *after* each row ships, so a SIGTERM lets the in-flight fault
@@ -372,46 +373,37 @@ class RowStreamStore(StoreBackend):
 
     # -- run recording --------------------------------------------------------
 
-    def _ship(self, row):
-        self._send("rows", token=None, rows=[row])
-        self.rows_sent += 1
-        self.done += 1
-        self._check_stop()
+    def _ship(self, rows):
+        """Globalize rendered rows and send them as one ``rows`` frame.
 
-    def _globalize(self, index):
-        """Local sub-spec index -> (global fault index, fault key)."""
-        return self.shard.indices[index], self.shard.fault_keys[index]
+        Each row's sub-spec index becomes its global fault index and
+        content key from the shard plan.  A shard runs as a plain
+        exhaustive campaign, so its rows carry no stratum: the
+        coordinator plans sampled jobs and stamps strata at ingest.
+        """
+        shard = self.shard
+        self._send("rows", token=None, rows=[
+            dict(row, idx=shard.indices[row["idx"]],
+                 key=shard.fault_keys[row["idx"]])
+            for row in rows
+        ])
+        self.rows_sent += len(rows)
+        self.done += len(rows)
+        self._check_stop()
 
     def record_run(self, campaign_id, index, fault_result,
                    wall_s=None, kernel_events=None, attempts=1,
                    stratum=None):
-        """Translate one completed run to a row frame and send it.
-
-        ``stratum`` is ignored: sampled-campaign shards are planned
-        by the coordinator, which attaches each row's stratum from its
-        own strata map at ingest.
-        """
-        global_idx, key = self._globalize(index)
-        self._ship(result_to_row(
-            global_idx, key, fault_result, wall_s=wall_s,
-            kernel_events=kernel_events, attempts=attempts,
-        ))
+        """Render one completed run and ship it."""
+        self._ship([result_to_row(
+            index, None, fault_result, wall_s=wall_s,
+            kernel_events=kernel_events, attempts=attempts, stratum=stratum,
+        )])
 
     def record_runs(self, campaign_id, rows):
         """Batch outcomes ship as one frame (batched campaigns)."""
-        payload = []
-        for row in rows:
-            index, fault_result, wall_s, kernel_events, attempts = row[:5]
-            global_idx, key = self._globalize(index)
-            payload.append(result_to_row(
-                global_idx, key, fault_result, wall_s=wall_s,
-                kernel_events=kernel_events, attempts=attempts,
-            ))
-        if payload:
-            self._send("rows", token=None, rows=payload)
-            self.rows_sent += len(payload)
-            self.done += len(payload)
-            self._check_stop()
+        if rows:
+            self._ship(rows)
 
     def record_error(self, campaign_id, index, message, wall_s=None,
                      status="error", attempts=1, quarantined=False,
@@ -421,12 +413,11 @@ class RowStreamStore(StoreBackend):
         ``postmortem`` is a worker-local path; it travels as an opaque
         string (the artifact itself stays on the worker host).
         """
-        global_idx, key = self._globalize(index)
-        self._ship(error_to_row(
-            global_idx, key, message, status=status, wall_s=wall_s,
+        self._ship([error_to_row(
+            index, None, message, status=status, wall_s=wall_s,
             attempts=attempts, quarantined=quarantined,
-            postmortem=postmortem,
-        ))
+            postmortem=postmortem, stratum=stratum,
+        )])
 
     def record_execution(self, campaign_id, execution, status="complete"):
         """Capture the shard's execution stats for the complete frame."""

@@ -98,9 +98,16 @@ class TrapezoidPulse(AnalogTransient):
         return abs(self.pa)
 
     def suggested_dt(self, points_per_edge=8):
-        """A step resolving the fastest edge with ``points_per_edge``."""
-        fastest = min(x for x in (self.rt, self.ft, self.plateau) if x > 0)
-        return fastest / points_per_edge
+        """A step resolving the fastest edge with ``points_per_edge``.
+
+        The plateau counts as an edge only when it spans at least one
+        edge step: a plateau a few ulps long would otherwise shrink the
+        step to nothing and stall the solver.
+        """
+        edges = [x for x in (self.rt, self.ft) if x > 0]
+        if not edges or self.plateau >= min(edges) / points_per_edge:
+            edges.append(self.plateau)
+        return min(edges) / points_per_edge
 
     def breakpoints(self):
         """The waveform's corner times (for exact solver alignment)."""

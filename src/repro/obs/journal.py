@@ -77,8 +77,8 @@ EVENT_TYPES = (
     # Confidence-bounded adaptive sampling — additive in journal
     # schema v2, like the distributed events.
     "sample_chunk",          # chunk, round, size, pending, trials
-    "sampling_stopped",      # reason, trials, estimate, half_width, skipped
-    "stop_sampling",         # job, reason, revoked (distributed early stop)
+    "sampling_stopped",      # reason, trials, estimate, half_width,
+                             # skipped[, job, revoked when distributed]
 )
 
 

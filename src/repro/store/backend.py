@@ -13,6 +13,11 @@ implementation; :class:`~repro.dist.worker.RowStreamStore`
 (wire-protocol streaming) is the other.  The telemetry hooks
 (:meth:`record_journal`, :meth:`record_worker`) default to no-ops so
 lightweight backends only implement what they persist.
+
+Both persist one **row dict** per terminal run, in the format
+:mod:`repro.store.serialize` owns (:data:`~repro.store.serialize.ROW_FIELDS`):
+a backend renders the objects it is handed with that module's
+renderers, and batched runs arrive already rendered.
 """
 
 from __future__ import annotations
@@ -89,22 +94,14 @@ class StoreBackend(abc.ABC):
         persist strata may ignore it.
         """
 
+    @abc.abstractmethod
     def record_runs(self, campaign_id, rows):
         """Persist many completed runs (one batch).
 
-        Backends with cheaper bulk writes override this; the default
-        just loops :meth:`record_run`.
-
-        :param rows: iterable of ``(index, fault_result, wall_s,
-            kernel_events, attempts)`` tuples, optionally extended
-            with a sixth ``stratum`` element.
+        :param rows: a list of row dicts rendered by
+            :func:`~repro.store.serialize.result_to_row`, each ``idx``
+            the campaign's own fault index and ``key`` possibly None.
         """
-        for row in rows:
-            index, fault_result, wall_s, kernel_events, attempts = row[:5]
-            stratum = row[5] if len(row) > 5 else None
-            self.record_run(campaign_id, index, fault_result,
-                            wall_s=wall_s, kernel_events=kernel_events,
-                            attempts=attempts, stratum=stratum)
 
     @abc.abstractmethod
     def record_error(self, campaign_id, index, message, wall_s=None,

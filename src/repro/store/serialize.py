@@ -1,4 +1,4 @@
-"""JSON serialization of campaign specs, faults and classifications.
+"""JSON serialization of campaign specs, faults, classifications and runs.
 
 The persistent campaign store (and the CLI fault-file format) need a
 stable, human-readable descriptor for every fault model.  This module
@@ -8,6 +8,13 @@ owns the bidirectional mapping:
   <-> JSON descriptor (the same schema the CLI fault files use);
 * :func:`spec_to_dict` / :func:`spec_from_dict` — a complete
   :class:`~repro.campaign.spec.CampaignSpec` <-> JSON;
+* the **run-row format** (:data:`ROW_FIELDS`): :func:`result_to_row`,
+  :func:`error_to_row` and :func:`skipped_to_row` render one terminal
+  run outcome as a row dict, :func:`row_to_result` and
+  :func:`row_to_error` rebuild it, and :func:`check_row` is the check
+  every store write applies.  This is the only place run outcomes map
+  to row dicts and back: the store maps row dicts to columns, the
+  distributed wire protocol ships them as they are;
 * :func:`fault_key` / :func:`faults_digest` — content digests used by
   campaign resume to verify that a stored fault list matches the one
   being rerun;
@@ -27,6 +34,15 @@ import json
 
 import numpy as np
 
+from ..campaign.classify import (
+    CLASSES,
+    FAILURE_STATUSES,
+    RUN_OK,
+    RUN_SKIPPED,
+    Classification,
+)
+from ..campaign.compare import TraceComparison
+from ..campaign.results import CampaignRunError, FaultResult
 from ..core.errors import ReproError
 from ..faults import (
     BitFlip,
@@ -251,10 +267,11 @@ def comparisons_to_dict(comparisons):
 
 #: The canonical per-run **row** schema shared by the campaign store
 #: and the distributed wire protocol: one
-#: JSON-ready dict per terminal run outcome.  ``idx`` is always the
-#: *global* fault index and ``key`` the fault's content digest
-#: (:func:`fault_key`), which is what shard-reassignment deduplication
-#: keys on.
+#: JSON-ready dict per terminal run outcome.  ``idx`` is the fault's
+#: index in its campaign and ``key`` its content digest
+#: (:func:`fault_key`), which shard-reassignment deduplication keys on;
+#: a row bound for a local store may leave ``key`` None, since the
+#: store joins it from its fault list.
 ROW_FIELDS = (
     "idx", "key", "status", "label", "classification", "comparisons",
     "metrics", "error", "wall_s", "kernel_events", "attempts",
@@ -262,49 +279,36 @@ ROW_FIELDS = (
 )
 
 
+def _row(index, key, status, stratum, **fields):
+    """A run-row dict: ``fields`` over None, ``quarantined`` 0."""
+    row = dict.fromkeys(ROW_FIELDS)
+    row.update(idx=int(index), key=key, status=status, quarantined=0,
+               stratum=stratum)
+    row.update(fields)
+    return row
+
+
 def result_to_row(index, key, fault_result, wall_s=None,
                   kernel_events=None, attempts=1, stratum=None):
     """Render one successful :class:`FaultResult` as a run-row dict."""
-    return {
-        "idx": int(index),
-        "key": key,
-        "status": "ok",
-        "label": fault_result.label,
-        "classification": classification_to_dict(
-            fault_result.classification
-        ),
-        "comparisons": comparisons_to_dict(fault_result.comparisons),
-        "metrics": dict(fault_result.metrics),
-        "error": None,
-        "wall_s": wall_s,
-        "kernel_events": kernel_events,
-        "attempts": attempts,
-        "quarantined": 0,
-        "postmortem": None,
-        "stratum": stratum,
-    }
+    return _row(
+        index, key, RUN_OK, stratum, label=fault_result.label,
+        classification=classification_to_dict(fault_result.classification),
+        comparisons=comparisons_to_dict(fault_result.comparisons),
+        metrics=dict(fault_result.metrics), wall_s=wall_s,
+        kernel_events=kernel_events, attempts=attempts,
+    )
 
 
 def error_to_row(index, key, message, status="error", wall_s=None,
                  attempts=1, quarantined=False, postmortem=None,
                  stratum=None):
     """Render one failed run as a run-row dict."""
-    return {
-        "idx": int(index),
-        "key": key,
-        "status": status,
-        "label": None,
-        "classification": None,
-        "comparisons": None,
-        "metrics": None,
-        "error": message,
-        "wall_s": wall_s,
-        "kernel_events": None,
-        "attempts": attempts,
-        "quarantined": 1 if quarantined else 0,
-        "postmortem": None if postmortem is None else str(postmortem),
-        "stratum": stratum,
-    }
+    return _row(
+        index, key, status, stratum, error=message, wall_s=wall_s,
+        attempts=attempts, quarantined=1 if quarantined else 0,
+        postmortem=None if postmortem is None else str(postmortem),
+    )
 
 
 def skipped_to_row(index, key, stratum=None):
@@ -313,22 +317,77 @@ def skipped_to_row(index, key, stratum=None):
     Carries no classification or error: the fault was never simulated
     because the campaign's estimate converged first.
     """
-    return {
-        "idx": int(index),
-        "key": key,
-        "status": "skipped",
-        "label": None,
-        "classification": None,
-        "comparisons": None,
-        "metrics": None,
-        "error": None,
-        "wall_s": None,
-        "kernel_events": None,
-        "attempts": 0,
-        "quarantined": 0,
-        "postmortem": None,
-        "stratum": stratum,
-    }
+    return _row(index, key, RUN_SKIPPED, stratum, attempts=0)
+
+
+def check_row(row, skipped=False):
+    """Refuse a row dict that does not describe one terminal run.
+
+    A row carries every :data:`ROW_FIELDS` entry.  An ``ok`` row
+    carries a label from :data:`~repro.campaign.classify.CLASSES` equal
+    to its classification's label, plus classification and comparison
+    mappings; any other row carries a status from
+    :data:`~repro.campaign.classify.FAILURE_STATUSES`, or ``skipped``
+    where ``skipped`` allows it (only sampling early stop writes
+    those).
+
+    :raises SerializationError: naming the row's fault index and what
+        is wrong with it.
+    """
+    missing = [name for name in ROW_FIELDS if name not in row]
+    status = row.get("status")
+    if missing:
+        problem = f"lacks {', '.join(missing)}"
+    elif status == RUN_OK:
+        classification = row["classification"]
+        if not (isinstance(classification, dict)
+                and isinstance(row["comparisons"], dict)):
+            problem = "has no classification or comparisons"
+        elif (row["label"] not in CLASSES
+              or classification.get("label") != row["label"]):
+            problem = (f"is labelled {row['label']!r} but classified "
+                       f"{classification.get('label')!r}")
+        else:
+            return
+    elif status in FAILURE_STATUSES or (skipped and status == RUN_SKIPPED):
+        return
+    else:
+        problem = f"has status {status!r}"
+    raise SerializationError(f"run row for fault {row.get('idx')} {problem}")
+
+
+def row_to_result(row, fault):
+    """Rebuild the :class:`FaultResult` of an ``ok`` row.
+
+    Inverse of :func:`result_to_row`; ``fault`` is the instance the
+    result references.
+    """
+    return FaultResult(
+        fault=fault,
+        classification=Classification(**row["classification"]),
+        comparisons={
+            name: TraceComparison(name=name, **fields)
+            for name, fields in row["comparisons"].items()
+        },
+        metrics=row["metrics"] or {},
+    )
+
+
+def row_to_error(row, fault):
+    """Rebuild the :class:`CampaignRunError` of a failed row.
+
+    Inverse of :func:`error_to_row`; rows written before attempts were
+    recorded read back as one attempt.
+    """
+    return CampaignRunError(
+        index=row["idx"],
+        fault=fault,
+        message=row["error"] or "",
+        status=row["status"],
+        attempts=row["attempts"] or 1,
+        quarantined=bool(row["quarantined"]),
+        postmortem=row["postmortem"],
+    )
 
 
 def trace_digest(trace):

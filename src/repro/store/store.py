@@ -5,8 +5,9 @@ moral equivalent of DAVOS's fault-injection database: it records the
 campaign specification, the full fault list, and one row per completed
 faulty run (classification, per-trace comparison summaries, metrics,
 timing, kernel-event counts).  Rows are committed as each run
-completes, so a crashed or killed campaign loses at most the run in
-flight, and a later session can
+completes (a batch's rows in one transaction), so a crashed or killed
+campaign loses at most the run or batch in flight, and a later session
+can
 
 * **resume** — re-run only the faults without a successful row
   (:meth:`CampaignStore.pending_indices`), after verifying that the
@@ -19,6 +20,11 @@ Writes go through a **single writer** (the campaign parent process);
 fork-parallel workers ship results back to the parent, which owns the
 connection.  That keeps the store free of cross-process locking while
 still recording parallel campaigns incrementally.
+
+A run is stored as the row dict :mod:`repro.store.serialize` renders
+and checks; this module only maps row dicts to columns, in one
+``INSERT`` (:meth:`CampaignStore._write_runs`) and one reader
+(:meth:`CampaignStore.run_rows`).
 """
 
 from __future__ import annotations
@@ -30,12 +36,17 @@ from datetime import datetime, timezone
 from ..core.errors import ReproError
 from .backend import StoreBackend
 from .serialize import (
-    classification_to_dict,
-    comparisons_to_dict,
+    SerializationError,
+    check_row,
+    error_to_row,
     fault_key,
     fault_to_dict,
     faults_digest,
     probes_digest,
+    result_to_row,
+    row_to_error,
+    row_to_result,
+    skipped_to_row,
     spec_from_dict,
     spec_to_dict,
 )
@@ -169,11 +180,36 @@ def _now():
     return datetime.now(timezone.utc).isoformat()
 
 
-# Shared with the distributed wire protocol (see
-# repro.store.serialize); the old private names remain as aliases for
-# the rest of this module.
-_classification_to_dict = classification_to_dict
-_comparisons_to_dict = comparisons_to_dict
+def _dumps(value):
+    """A row-dict mapping as its JSON column (None stays NULL)."""
+    return None if value is None else json.dumps(value, default=str)
+
+
+def _loads(text):
+    """Inverse of :func:`_dumps`."""
+    return None if text is None else json.loads(text)
+
+
+def _rebuild(rows, faults):
+    """``({index: FaultResult}, [CampaignRunError])`` from run rows.
+
+    ``faults`` supplies the fault instances; ``skipped`` rows rebuild
+    to neither.
+
+    :raises StoreError: for a row past the end of ``faults``.
+    """
+    runs, errors = {}, []
+    for row in rows:
+        if row["status"] == "skipped":
+            continue
+        index = row["idx"]
+        if index >= len(faults):
+            raise StoreError(f"run row for fault {index} exceeds fault list")
+        if row["status"] == "ok":
+            runs[index] = row_to_result(row, faults[index])
+        else:
+            errors.append(row_to_error(row, faults[index]))
+    return runs, errors
 
 
 class CampaignStore(StoreBackend):
@@ -447,33 +483,64 @@ class CampaignStore(StoreBackend):
             done = done | self.quarantined_indices(campaign_id)
         return [index for index in range(total) if index not in done]
 
+    def _write_runs(self, campaign_id, rows, keep_first=False,
+                    shard_id=None, skipped=False):
+        """The one ``INSERT INTO runs``: row dicts, one transaction.
+
+        Every row passes :func:`~repro.store.serialize.check_row`
+        before any is written.  A later row replaces an earlier one of
+        the same fault unless ``keep_first`` (first writer wins);
+        ``skipped`` admits ``skipped`` rows.
+
+        :raises StoreError: on a malformed row.
+        """
+        try:
+            for row in rows:
+                check_row(row, skipped=skipped)
+        except SerializationError as exc:
+            raise StoreError(f"refusing to record: {exc}") from exc
+        if not rows:
+            return
+        now = _now()
+        self._conn.executemany(
+            f"INSERT OR {'IGNORE' if keep_first else 'REPLACE'} INTO runs"
+            " (campaign_id, fault_idx, status, label, classification_json,"
+            " comparisons_json, metrics_json, error, wall_s, kernel_events,"
+            " completed_at, attempts, quarantined, postmortem, shard_id,"
+            " stratum)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            [
+                (
+                    campaign_id,
+                    int(row["idx"]),
+                    row["status"],
+                    row["label"],
+                    _dumps(row["classification"]),
+                    _dumps(row["comparisons"]),
+                    _dumps(row["metrics"]),
+                    row["error"],
+                    row["wall_s"],
+                    row["kernel_events"],
+                    now,
+                    row["attempts"],
+                    1 if row["quarantined"] else 0,
+                    row["postmortem"],
+                    shard_id,
+                    row["stratum"],
+                )
+                for row in rows
+            ],
+        )
+        self._conn.commit()
+
     def record_run(self, campaign_id, index, fault_result,
                    wall_s=None, kernel_events=None, attempts=1,
                    stratum=None):
         """Persist one completed faulty run (commits immediately)."""
-        self._conn.execute(
-            "INSERT OR REPLACE INTO runs (campaign_id, fault_idx, status,"
-            " label, classification_json, comparisons_json, metrics_json,"
-            " error, wall_s, kernel_events, completed_at, attempts,"
-            " quarantined, stratum)"
-            " VALUES (?, ?, 'ok', ?, ?, ?, ?, NULL, ?, ?, ?, ?, 0, ?)",
-            (
-                campaign_id,
-                index,
-                fault_result.label,
-                json.dumps(
-                    _classification_to_dict(fault_result.classification)
-                ),
-                json.dumps(_comparisons_to_dict(fault_result.comparisons)),
-                json.dumps(fault_result.metrics, default=str),
-                wall_s,
-                kernel_events,
-                _now(),
-                attempts,
-                stratum,
-            ),
-        )
-        self._conn.commit()
+        self._write_runs(campaign_id, [result_to_row(
+            index, None, fault_result, wall_s=wall_s,
+            kernel_events=kernel_events, attempts=attempts, stratum=stratum,
+        )])
 
     def record_runs(self, campaign_id, rows):
         """Persist many completed runs in **one** transaction.
@@ -486,40 +553,9 @@ class CampaignStore(StoreBackend):
         an interrupted campaign loses at most the rows of the batch in
         flight, which resume re-runs.
 
-        :param rows: iterable of ``(index, fault_result, wall_s,
-            kernel_events, attempts)`` tuples, optionally extended
-            with a sixth ``stratum`` element (sampled campaigns).
+        :param rows: row dicts (:func:`~repro.store.serialize.result_to_row`).
         """
-        payload = []
-        for row in rows:
-            index, fault_result, wall_s, kernel_events, attempts = row[:5]
-            stratum = row[5] if len(row) > 5 else None
-            payload.append((
-                campaign_id,
-                index,
-                fault_result.label,
-                json.dumps(
-                    _classification_to_dict(fault_result.classification)
-                ),
-                json.dumps(_comparisons_to_dict(fault_result.comparisons)),
-                json.dumps(fault_result.metrics, default=str),
-                wall_s,
-                kernel_events,
-                _now(),
-                attempts,
-                stratum,
-            ))
-        if not payload:
-            return
-        self._conn.executemany(
-            "INSERT OR REPLACE INTO runs (campaign_id, fault_idx, status,"
-            " label, classification_json, comparisons_json, metrics_json,"
-            " error, wall_s, kernel_events, completed_at, attempts,"
-            " quarantined, stratum)"
-            " VALUES (?, ?, 'ok', ?, ?, ?, ?, NULL, ?, ?, ?, ?, 0, ?)",
-            payload,
-        )
-        self._conn.commit()
+        self._write_runs(campaign_id, rows)
 
     def record_error(self, campaign_id, index, message, wall_s=None,
                      status="error", attempts=1, quarantined=False,
@@ -534,25 +570,11 @@ class CampaignStore(StoreBackend):
         :param postmortem: optional path of the flight-recorder dump
             written for this failure (see :mod:`repro.obs.flightrec`).
         """
-        from ..campaign.classify import FAILURE_STATUSES
-
-        if status not in FAILURE_STATUSES:
-            raise StoreError(
-                f"invalid failure status {status!r};"
-                f" expected one of {FAILURE_STATUSES}"
-            )
-        self._conn.execute(
-            "INSERT OR REPLACE INTO runs (campaign_id, fault_idx, status,"
-            " label, classification_json, comparisons_json, metrics_json,"
-            " error, wall_s, kernel_events, completed_at, attempts,"
-            " quarantined, postmortem, stratum)"
-            " VALUES (?, ?, ?, NULL, NULL, NULL, NULL, ?, ?, NULL, ?, ?, ?,"
-            " ?, ?)",
-            (campaign_id, index, status, message, wall_s, _now(),
-             attempts, 1 if quarantined else 0,
-             None if postmortem is None else str(postmortem), stratum),
-        )
-        self._conn.commit()
+        self._write_runs(campaign_id, [error_to_row(
+            index, None, message, status=status, wall_s=wall_s,
+            attempts=attempts, quarantined=quarantined,
+            postmortem=postmortem, stratum=stratum,
+        )])
 
     def record_skipped(self, campaign_id, rows):
         """Mark faults skipped by sampling early stop, one transaction.
@@ -566,22 +588,12 @@ class CampaignStore(StoreBackend):
 
         :param rows: iterable of ``(index, stratum)`` pairs.
         """
-        payload = [
-            (campaign_id, index, _now(), stratum)
-            for index, stratum in rows
-        ]
-        if not payload:
-            return
-        self._conn.executemany(
-            "INSERT OR IGNORE INTO runs (campaign_id, fault_idx, status,"
-            " label, classification_json, comparisons_json, metrics_json,"
-            " error, wall_s, kernel_events, completed_at, attempts,"
-            " quarantined, stratum)"
-            " VALUES (?, ?, 'skipped', NULL, NULL, NULL, NULL, NULL, NULL,"
-            " NULL, ?, 0, 0, ?)",
-            payload,
+        self._write_runs(
+            campaign_id,
+            [skipped_to_row(index, None, stratum=stratum)
+             for index, stratum in rows],
+            keep_first=True, skipped=True,
         )
-        self._conn.commit()
 
     def record_sampling(self, campaign_id, seed, margin, confidence,
                         strata, chunk):
@@ -648,9 +660,12 @@ class CampaignStore(StoreBackend):
         """Persist one run from its **row dict** rendering (commits).
 
         A one-row :meth:`record_shard_rows`; ``shard_id`` defaults to
-        the row's own.
+        the row's own (a :meth:`run_rows` row carries one).
         """
-        self.record_shard_rows(campaign_id, shard_id, [row])
+        self._write_runs(
+            campaign_id, [row], keep_first=True,
+            shard_id=row.get("shard_id") if shard_id is None else shard_id,
+        )
 
     def record_shard_rows(self, campaign_id, shard_id, rows):
         """Persist one streamed frame of row dicts in **one** transaction.
@@ -660,41 +675,11 @@ class CampaignStore(StoreBackend):
         ``shards`` row reads ``merged``.  First writer wins (``INSERT
         OR IGNORE``): reassignment is at-least-once, so a fault may
         legitimately arrive twice, and ignoring the duplicate keeps
-        the store independent of arrival order.
+        the store independent of arrival order.  A malformed row
+        rejects the whole frame before any row is written.
         """
-        now = _now()
-        self._conn.executemany(
-            "INSERT OR IGNORE INTO runs (campaign_id, fault_idx, status,"
-            " label, classification_json, comparisons_json, metrics_json,"
-            " error, wall_s, kernel_events, completed_at, attempts,"
-            " quarantined, postmortem, shard_id, stratum)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            [
-                (
-                    campaign_id,
-                    int(row["idx"]),
-                    row["status"],
-                    row.get("label"),
-                    (None if row.get("classification") is None
-                     else json.dumps(row["classification"])),
-                    (None if row.get("comparisons") is None
-                     else json.dumps(row["comparisons"])),
-                    (None if row.get("metrics") is None
-                     else json.dumps(row["metrics"], default=str)),
-                    row.get("error"),
-                    row.get("wall_s"),
-                    row.get("kernel_events"),
-                    now,
-                    row.get("attempts", 1),
-                    1 if row.get("quarantined") else 0,
-                    row.get("postmortem"),
-                    shard_id if shard_id is not None else row.get("shard_id"),
-                    row.get("stratum"),
-                )
-                for row in rows
-            ],
-        )
-        self._conn.commit()
+        self._write_runs(campaign_id, rows, keep_first=True,
+                         shard_id=shard_id)
 
     def drop_provisional_rows(self, campaign_id):
         """Delete the rows of every shard not ``merged`` (one transaction).
@@ -714,35 +699,22 @@ class CampaignStore(StoreBackend):
     def run_rows(self, campaign_id):
         """Every recorded run as a row dict, in fault-index order.
 
-        The inverse of :meth:`record_row` (plus the fault's content
-        ``key`` joined in from the fault list), used by the
-        coordinator's resume and by row-identity assertions in tests.
+        The one reader of the ``runs`` table's full rows: the inverse
+        of :meth:`record_row`, with the fault's content ``key`` joined
+        in from the fault list and the row's ``shard_id``.
+        :meth:`load_runs`, :meth:`load_errors` and :meth:`load_result`
+        rebuild objects from it; the coordinator's resume and
+        row-identity tests read it directly.
         """
-        rows = []
-        for row in self._conn.execute(
-            "SELECT r.*, f.key AS fault_key FROM runs r"
-            " LEFT JOIN faults f ON f.campaign_id = r.campaign_id"
-            " AND f.idx = r.fault_idx"
-            " WHERE r.campaign_id = ? ORDER BY r.fault_idx",
-            (campaign_id,),
-        ):
-            rows.append({
+        return [
+            {
                 "idx": row["fault_idx"],
                 "key": row["fault_key"],
                 "status": row["status"],
                 "label": row["label"],
-                "classification": (
-                    None if row["classification_json"] is None
-                    else json.loads(row["classification_json"])
-                ),
-                "comparisons": (
-                    None if row["comparisons_json"] is None
-                    else json.loads(row["comparisons_json"])
-                ),
-                "metrics": (
-                    None if row["metrics_json"] is None
-                    else json.loads(row["metrics_json"])
-                ),
+                "classification": _loads(row["classification_json"]),
+                "comparisons": _loads(row["comparisons_json"]),
+                "metrics": _loads(row["metrics_json"]),
                 "error": row["error"],
                 "wall_s": row["wall_s"],
                 "kernel_events": row["kernel_events"],
@@ -751,8 +723,15 @@ class CampaignStore(StoreBackend):
                 "postmortem": row["postmortem"],
                 "shard_id": row["shard_id"],
                 "stratum": row["stratum"],
-            })
-        return rows
+            }
+            for row in self._conn.execute(
+                "SELECT r.*, f.key AS fault_key FROM runs r"
+                " LEFT JOIN faults f ON f.campaign_id = r.campaign_id"
+                " AND f.idx = r.fault_idx"
+                " WHERE r.campaign_id = ? ORDER BY r.fault_idx",
+                (campaign_id,),
+            )
+        ]
 
     def record_shard(self, campaign_id, shard_id, state, worker=None,
                      n_faults=None, leases=None):
@@ -939,36 +918,7 @@ class CampaignStore(StoreBackend):
         list when merging into a resumed campaign, or the stored
         spec's when loading standalone.
         """
-        from ..campaign.classify import Classification
-        from ..campaign.compare import TraceComparison
-        from ..campaign.results import FaultResult
-
-        results = {}
-        for row in self._conn.execute(
-            "SELECT * FROM runs WHERE campaign_id = ? AND status = 'ok'"
-            " ORDER BY fault_idx",
-            (campaign_id,),
-        ):
-            index = row["fault_idx"]
-            if index >= len(faults):
-                raise StoreError(
-                    f"run row for fault {index} exceeds fault list"
-                )
-            classification = Classification(
-                **json.loads(row["classification_json"])
-            )
-            comparisons = {
-                name: TraceComparison(name=name, **fields)
-                for name, fields in
-                json.loads(row["comparisons_json"]).items()
-            }
-            results[index] = FaultResult(
-                fault=faults[index],
-                classification=classification,
-                comparisons=comparisons,
-                metrics=json.loads(row["metrics_json"] or "{}"),
-            )
-        return results
+        return _rebuild(self.run_rows(campaign_id), faults)[0]
 
     def load_errors(self, campaign_id, faults):
         """Failed runs as a list of :class:`CampaignRunError`.
@@ -979,29 +929,7 @@ class CampaignStore(StoreBackend):
         sampled campaign *skipped* by early stop are not errors and
         are excluded.
         """
-        from ..campaign.results import CampaignRunError
-
-        errors = []
-        for row in self._conn.execute(
-            "SELECT * FROM runs WHERE campaign_id = ? AND status != 'ok'"
-            " AND status != 'skipped' ORDER BY fault_idx",
-            (campaign_id,),
-        ):
-            index = row["fault_idx"]
-            if index >= len(faults):
-                raise StoreError(
-                    f"run row for fault {index} exceeds fault list"
-                )
-            errors.append(CampaignRunError(
-                index=index,
-                fault=faults[index],
-                message=row["error"] or "",
-                status=row["status"],
-                attempts=row["attempts"] or 1,
-                quarantined=bool(row["quarantined"]),
-                postmortem=row["postmortem"],
-            ))
-        return errors
+        return _rebuild(self.run_rows(campaign_id), faults)[1]
 
     def journal_location(self, name=None):
         """The recorded ``(journal_path, journal_offset)`` (or None)."""
@@ -1046,10 +974,9 @@ class CampaignStore(StoreBackend):
         campaign_id = self.campaign_id(name)
         spec = self.load_spec(campaign_id)
         result = CampaignResult(spec)
-        runs = self.load_runs(campaign_id, spec.faults)
-        for index in sorted(runs):
-            result.add(runs[index])
-        result.errors = self.load_errors(campaign_id, spec.faults)
+        runs, result.errors = _rebuild(self.run_rows(campaign_id),
+                                       spec.faults)
+        result.runs = list(runs.values())
         row = self._conn.execute(
             "SELECT execution_json FROM campaigns WHERE id = ?",
             (campaign_id,),
@@ -1085,21 +1012,10 @@ class CampaignStore(StoreBackend):
                 "SELECT COUNT(*) AS n FROM faults WHERE campaign_id = ?",
                 (row["id"],),
             ).fetchone()["n"]
-            completed = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM runs WHERE campaign_id = ?"
-                " AND status = 'ok'",
-                (row["id"],),
-            ).fetchone()["n"]
-            errors = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM runs WHERE campaign_id = ?"
-                " AND status != 'ok' AND status != 'skipped'",
-                (row["id"],),
-            ).fetchone()["n"]
-            skipped = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM runs WHERE campaign_id = ?"
-                " AND status = 'skipped'",
-                (row["id"],),
-            ).fetchone()["n"]
+            # Every status but ``ok`` and ``skipped`` is a failure.
+            counts = self.run_status_counts(row["name"])
+            completed = counts.pop("ok", 0)
+            skipped = counts.pop("skipped", 0)
             quarantined = self._conn.execute(
                 "SELECT COUNT(*) AS n FROM runs WHERE campaign_id = ?"
                 " AND quarantined != 0",
@@ -1112,7 +1028,7 @@ class CampaignStore(StoreBackend):
                     "mode": mode,
                     "total": total,
                     "completed": completed,
-                    "errors": errors,
+                    "errors": sum(counts.values()),
                     "skipped": skipped,
                     "quarantined": quarantined,
                     "sampled": row["sampling_seed"] is not None,
@@ -1121,38 +1037,6 @@ class CampaignStore(StoreBackend):
                 }
             )
         return summaries
-
-    def stratum_counts(self, name=None):
-        """Per-stratum run tallies for a sampled campaign.
-
-        Returns ``{stratum: {"trials", "errors", "failed",
-        "skipped"}}`` straight from SQL — ``trials`` counts completed
-        runs, ``errors`` the non-silent subset, ``failed`` terminal
-        failures and ``skipped`` early-stop skips.  Empty for
-        campaigns without stratum annotations.
-        """
-        campaign_id = self.campaign_id(name)
-        counts = {}
-        for row in self._conn.execute(
-            "SELECT stratum,"
-            " SUM(CASE WHEN status = 'ok' THEN 1 ELSE 0 END) AS trials,"
-            " SUM(CASE WHEN status = 'ok' AND label != 'silent'"
-            "     THEN 1 ELSE 0 END) AS errors,"
-            " SUM(CASE WHEN status NOT IN ('ok', 'skipped')"
-            "     THEN 1 ELSE 0 END) AS failed,"
-            " SUM(CASE WHEN status = 'skipped' THEN 1 ELSE 0 END)"
-            "     AS skipped"
-            " FROM runs WHERE campaign_id = ? AND stratum IS NOT NULL"
-            " GROUP BY stratum ORDER BY stratum",
-            (campaign_id,),
-        ):
-            counts[row["stratum"]] = {
-                "trials": row["trials"],
-                "errors": row["errors"],
-                "failed": row["failed"],
-                "skipped": row["skipped"],
-            }
-        return counts
 
     def run_status_counts(self, name=None):
         """Terminal run status -> row count, straight from SQL.

@@ -19,6 +19,7 @@ from repro.campaign import (
 from repro.core import Component, L0, Simulator
 from repro.core.errors import CampaignError
 from repro.digital import Bus, ClockGen, Counter, ParityGen
+from repro.obs.journal import close_journal, open_journal, read_journal
 from repro.store import CampaignStore
 
 ROW_IDENTITY = ("idx", "status", "label", "stratum")
@@ -65,8 +66,18 @@ def run_sampled(store=None, name="sampled", **kwargs):
 
 class TestSampledRun:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_sampled()
+    def journaled(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("journal") / "sampled.jsonl"
+        open_journal(str(path))
+        try:
+            result = run_sampled()
+        finally:
+            close_journal()
+        return result, list(read_journal(str(path)))
+
+    @pytest.fixture(scope="class")
+    def result(self, journaled):
+        return journaled[0]
 
     def test_stops_early(self, result):
         sampling = result.execution["sampling"]
@@ -74,6 +85,14 @@ class TestSampledRun:
         assert sampling["simulated"] < sampling["population"]
         assert sampling["skipped"] > 0
         assert result.execution["completed"] == sampling["simulated"]
+
+    def test_journals_one_stop(self, journaled):
+        result, events = journaled
+        stops = [event for event in events
+                 if event["event"] == "sampling_stopped"]
+        assert len(stops) == 1
+        assert stops[0]["reason"] == "converged"
+        assert stops[0]["skipped"] == result.execution["sampling"]["skipped"]
 
     def test_interval_honors_margin(self, result):
         sampling = result.execution["sampling"]

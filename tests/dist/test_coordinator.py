@@ -19,6 +19,7 @@ pins down what the fleet tests cannot force:
 
 import json
 import os
+import socket
 import time
 from contextlib import contextmanager
 
@@ -35,10 +36,11 @@ from repro.dist import (
     plan_shards,
     spawn_local_workers,
 )
+from repro.dist import coordinator as coordinator_module
 from repro.dist.shards import plan_chunk_shard
 from repro.obs.journal import close_journal, open_journal
 from repro.store import CampaignStore, ShardedCampaignStore
-from repro.store.serialize import fault_key, spec_to_dict
+from repro.store.serialize import fault_key, skipped_to_row, spec_to_dict
 
 from ..campaign.test_sampled_runner import make_spec as sampled_spec
 from ..store.test_resume import factory, make_spec, needs_fork
@@ -264,8 +266,17 @@ class TestOneWritePerRow:
         assert set(os.listdir(tmp_path)) \
             <= {"dist.db", "dist.db-wal", "dist.db-shm"}
 
-    def test_rejected_frame_writes_nothing(self, tmp_path, serial_rows):
-        """A frame with one row outside its shard is refused whole."""
+    @pytest.mark.parametrize("bad_row", [
+        lambda row: dict(row, idx=99),
+        lambda row: dict(row, status="banana"),
+        lambda row: skipped_to_row(row["idx"], row["key"]),
+        lambda row: dict(row, classification=None),
+    ], ids=["foreign-index", "made-up-status", "worker-skipped",
+            "ok-without-classification"])
+    def test_rejected_frame_writes_nothing(self, tmp_path, serial_rows,
+                                           bad_row):
+        """A frame with one row outside its shard, or one that does not
+        describe a terminal run, is refused whole."""
         spec = make_spec()
         store_path = tmp_path / "dist.db"
         coordinator = Coordinator(str(store_path), shard_size=SHARD_SIZE)
@@ -276,9 +287,9 @@ class TestOneWritePerRow:
             worker = HandWorker(coordinator.address)
             leased = [worker.lease() for _ in range(3)]
             payloads = [shard_frames(shard) for shard, _ in leased]
-            first_row = payloads[0][0][0][0]
+            first_row, second_row = payloads[0][0][0][0], payloads[0][0][1][0]
             worker.conn.send("rows", token=leased[0][1],
-                             rows=[first_row, dict(first_row, idx=99)])
+                             rows=[first_row, bad_row(second_row)])
             assert worker.conn.recv(timeout=10)["frame"] == "error"
             assert coordinator.job_status(job)["rows"] == 0
             assert store_rows(store_path, spec.name) == []
@@ -607,4 +618,31 @@ class TestSubmit:
             with pytest.raises(ShardError, match="no faults"):
                 coordinator.submit(spec)
         finally:
+            coordinator.stop()
+
+
+class TestHelloReaping:
+    def test_silent_socket_is_reaped_and_worker_kept(self, tmp_path,
+                                                     monkeypatch):
+        """A socket that never says hello is closed once the hello
+        timeout passes; a hello'd worker connected for longer still
+        gets its lease."""
+        monkeypatch.setattr(coordinator_module, "DEFAULT_HELLO_TIMEOUT_S",
+                            0.5)
+        coordinator = Coordinator(str(tmp_path / "dist.db"),
+                                  shard_size=SHARD_SIZE)
+        worker = None
+        try:
+            job = coordinator.submit(make_spec())
+            coordinator.start()
+            worker = HandWorker(coordinator.address)
+            with socket.create_connection(coordinator.address,
+                                          timeout=10) as silent:
+                assert silent.recv(1) == b""
+            shard, _token = worker.lease()
+            assert shard.shard_id == 0
+            assert coordinator.job_status(job)["state"] == "running"
+        finally:
+            if worker is not None:
+                worker.close()
             coordinator.stop()

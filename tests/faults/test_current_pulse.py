@@ -1,11 +1,16 @@
 """Tests for the paper's trapezoid current-pulse model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import Simulator
+from repro.core.budget import RunBudget
 from repro.core.errors import FaultModelError
 from repro.faults import FIGURE6_PULSE, FIGURE8_PULSES, TrapezoidPulse
+from repro.injection import CurrentPulseSaboteur
 
 
 class TestConstruction:
@@ -108,6 +113,19 @@ class TestHelpers:
     def test_suggested_dt_resolves_fastest_edge(self):
         p = FIGURE6_PULSE
         assert p.suggested_dt(points_per_edge=10) == pytest.approx(10e-12)
+
+    def test_vanishing_plateau_keeps_the_edge_step(self):
+        """A plateau a few ulps long does not set the solver step, so a
+        run over the pulse finishes within a step budget."""
+        pulse = TrapezoidPulse(1e-4, math.nextafter(2e-10, 0), 5e-11, 2e-10)
+        assert 0 < pulse.plateau < 1e-25
+        assert pulse.suggested_dt() >= min(pulse.rt, pulse.ft) / 8
+        sim = Simulator(dt=1e-9)
+        node = sim.current_node("icp")
+        CurrentPulseSaboteur(sim, "sab", node).schedule(pulse, 10e-9)
+        sim.budget = RunBudget(max_steps=10_000)
+        sim.run(1.2e-6)
+        assert sim.now == pytest.approx(1.2e-6)
 
     def test_parameters_dict(self):
         assert set(FIGURE6_PULSE.parameters()) == {"pa", "rt", "ft", "pw"}

@@ -155,7 +155,9 @@ class TestSampledResume:
             assert len(store.job_rows()) == 1
             assert store.status()[0]["status"] == "complete"
         with open(journal_path) as handle:
-            kinds = [json.loads(line)["event"]
-                     for line in handle if line.strip()]
-        assert "stop_sampling" in kinds
-        assert "coordinator_resumed" in kinds
+            events = [json.loads(line) for line in handle if line.strip()]
+        stops = [event for event in events
+                 if event["event"] == "sampling_stopped"]
+        assert len(stops) == 1
+        assert stops[0]["job"] == job_id
+        assert "coordinator_resumed" in [event["event"] for event in events]
