@@ -129,6 +129,20 @@ def batch_key(fault):
     return None
 
 
+def schedule_time(fault):
+    """When ``fault`` first disturbs the design (``time`` or ``t_start``).
+
+    Anchors its restore point, digital batch and phase stratum.  A
+    fault without a numeric time anchors at 0.0: a full replay, always
+    correct, never fast.
+    """
+    for attr in ("time", "t_start"):
+        value = getattr(fault, attr, None)
+        if isinstance(value, (int, float)):
+            return float(value)
+    return 0.0
+
+
 def digital_batch_key(fault):
     """Grouping key for digital faults eligible for bit-flip batching.
 

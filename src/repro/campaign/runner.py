@@ -28,13 +28,20 @@ the union of all faults' solver refinement windows is pre-applied to
 the golden run (see :meth:`CampaignRunner._collect_windows`), and all
 current-pulse saboteurs are pre-created before the golden run so every
 run — golden and faulty — evaluates the identical block set.
+
+Every campaign is one pipeline: a chunk plan
+(:func:`~repro.campaign.sampling.build_plan`) hands out the faults, an
+executor — serial, batched or the fork pool — runs them, and yields
+**outcome groups**: one scalar run, or one batch.  The parent
+classifies each group, renders its store rows once, and commits the
+group as one transaction.  Every scalar run, serial or forked, is one
+call of the fault-attempt body :meth:`CampaignRunner._attempt`.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter, sleep
@@ -56,7 +63,7 @@ from ..obs.flightrec import (
     write_postmortem,
     write_worker_postmortem,
 )
-from ..store.serialize import result_to_row
+from ..store.serialize import error_to_row, result_to_row
 from .classify import (
     RUN_CRASHED,
     RUN_DIVERGED,
@@ -66,14 +73,9 @@ from .classify import (
     classify_failure,
 )
 from .compare import ComparisonGridCache, compare_probe_sets
-from .faultlist import batch_key, digital_batch_key
+from .faultlist import batch_key, digital_batch_key, schedule_time
 from .results import CampaignResult, CampaignRunError, FaultResult
-from .sampling import (
-    DEFAULT_CHUNK,
-    ExhaustivePlan,
-    StratifiedSampler,
-    stored_outcomes,
-)
+from .sampling import build_plan, stored_outcomes
 from .supervisor import RetryPolicy, WorkerSupervisor, set_worker_phase
 
 LOGGER = logging.getLogger("repro.campaign")
@@ -128,24 +130,6 @@ class Design:
     extras: dict = field(default_factory=dict)
 
 
-def _clone_trace(trace):
-    """A detached copy of a trace's samples (same name/interpolation)."""
-    return trace.clone()
-
-
-def _fault_schedule_time(fault):
-    """When a fault first disturbs the design (checkpoint anchor).
-
-    Faults without a recognisable time attribute anchor at 0.0, which
-    degrades to a full replay — always correct, never fast.
-    """
-    for attr in ("time", "t_start"):
-        value = getattr(fault, attr, None)
-        if isinstance(value, (int, float)):
-            return float(value)
-    return 0.0
-
-
 def _needs_strict_checkpoint(fault):
     """True when the fault must restore *strictly before* its time.
 
@@ -188,17 +172,14 @@ class CampaignRunner:
         self._guard = None
         self._retry = None
         self._grid_cache = None
-        self._flush_store = None
         self._batch_stats = None
         # Telemetry state: the flight-recorder post-mortem directory,
         # the sim/recorder of the faulty run in flight (what a failure
-        # dump captures), per-phase wall-time accumulators and the
-        # worker-lifecycle monitor (parallel runs only).
+        # dump captures) and per-phase wall-time accumulators.
         self._postmortem_dir = None
         self._last_sim = None
         self._recorder = None
         self._phase_s = None
-        self._worker_monitor = None
 
     @staticmethod
     def _collect_windows(faults):
@@ -311,8 +292,9 @@ class CampaignRunner:
 
     def _build_worker_monitor(self, store, campaign_id):
         """The supervisor monitor that turns worker lifecycle events
-        into journal events, store worker rows and (for workers that
-        die without reporting) parent-written post-mortems."""
+        into journal events, store worker rows (on spawn, heartbeat
+        and death) and, for workers that die without reporting,
+        parent-written post-mortems."""
 
         def monitor(info):
             event = info.get("event")
@@ -324,14 +306,13 @@ class CampaignRunner:
                     store.record_worker(campaign_id, pid, "alive",
                                         phase="idle")
             elif event == "task":
+                # Journal only: the worker row follows at the next
+                # heartbeat, at most one heartbeat interval later.
                 _journal.emit(
                     "run_started", index=index,
                     fault=self.spec.faults[index].describe(),
                     attempt=info.get("attempt"), worker_pid=pid,
                 )
-                if store is not None:
-                    store.record_worker(campaign_id, pid, "alive",
-                                        fault_idx=index, phase="running")
             elif event == "heartbeat":
                 _journal.emit(
                     "worker_heartbeat", pid=pid, index=index,
@@ -413,7 +394,7 @@ class CampaignRunner:
             )
         candidates = {0.0}
         for fault in self.spec.faults:
-            t_inj = _fault_schedule_time(fault)
+            t_inj = schedule_time(fault)
             if _needs_strict_checkpoint(fault):
                 # Quantisation already lands below t_inj unless t_inj
                 # is an exact multiple; nudging one nominal analog
@@ -443,8 +424,8 @@ class CampaignRunner:
     def prepare_warm(self, checkpoint_every=None, max_checkpoints=None):
         """Build the design, run the golden simulation and checkpoint it.
 
-        Returns the warm-state dict (design, snapshots, golden probe
-        clones, saboteur map).  Idempotent: subsequent calls reuse the
+        Returns the warm-state dict (design, checkpoint tree, golden
+        probe clones, saboteur map).  Idempotent: subsequent calls reuse the
         prepared state.
         """
         if self._warm is not None:
@@ -490,11 +471,9 @@ class CampaignRunner:
         )
         tree.set_trunk(snapshots)
         self._warm.update(
-            snapshots=snapshots,
-            ckpt_times=[t for t, _ in snapshots],
             tree=tree,
             golden_probes={
-                name: _clone_trace(trace)
+                name: trace.clone()
                 for name, trace in design.probes.items()
             },
             # Full golden sample data for every kernel trace, used to
@@ -523,12 +502,11 @@ class CampaignRunner:
         (full replay, always correct).  Requires :meth:`prepare_warm`.
         """
         warm = self.prepare_warm()
-        t_inj = _fault_schedule_time(fault)
+        t_inj = schedule_time(fault)
         if _needs_strict_checkpoint(fault):
-            index = bisect_right(warm["ckpt_times"], t_inj - self._nominal_dt())
-        else:
-            index = bisect_right(warm["ckpt_times"], t_inj)
-        return warm["snapshots"][max(index - 1, 0)]
+            t_inj -= self._nominal_dt()
+        node = warm["tree"].trunk_at(t_inj)
+        return node.time, node.snapshot
 
     @staticmethod
     def _resplice_golden_prefixes(warm):
@@ -620,7 +598,7 @@ class CampaignRunner:
         self._add_phase("step", perf_counter() - step_start)
 
         probes = {
-            name: _clone_trace(trace) for name, trace in design.probes.items()
+            name: trace.clone() for name, trace in design.probes.items()
         }
         metrics = {}
         for hook in self.metric_hooks:
@@ -902,7 +880,7 @@ class CampaignRunner:
 
         by_time = {}
         for index, fault in faults:
-            by_time.setdefault(_fault_schedule_time(fault), []).append(
+            by_time.setdefault(schedule_time(fault), []).append(
                 (index, fault)
             )
         flip_times = sorted(by_time)
@@ -957,7 +935,7 @@ class CampaignRunner:
                             )
                         else:
                             probes = {
-                                name: _clone_trace(trace)
+                                name: trace.clone()
                                 for name, trace in design.probes.items()
                             }
                         payload = (
@@ -1000,7 +978,7 @@ class CampaignRunner:
         golden_by_id = warm["golden_by_id"]
         probes = {}
         for name, trace in design.probes.items():
-            dup = _clone_trace(trace)
+            dup = trace.clone()
             times, values = golden_by_id[id(trace)]
             cut = lengths[id(trace)]
             dup._times.extend(times[cut:])
@@ -1009,15 +987,15 @@ class CampaignRunner:
             probes[name] = dup
         return probes
 
-    def _batched_outcomes(self, pending, on_error, mode="auto"):
-        """Outcome stream for batched execution.
+    def _batched_outcomes(self, pending, mode="auto"):
+        """Outcome groups for batched execution.
 
         Batches run first — analog ensembles and digital branch walks
-        interleaved in deterministic plan order; their peeled variants
-        and every unbatchable fault then drain through the ordinary
-        scalar serial stream (same retry/supervision semantics).
-        Yields the same ``(index, ok, payload, wall_s, attempts)``
-        tuples as :meth:`_serial_outcomes`.
+        interleaved in deterministic plan order — each yielding its
+        completed runs as one group (a batch with none yields nothing).
+        Their peeled variants and every unbatchable fault then drain
+        through :meth:`_serial_outcomes`, one group per fault (same
+        retry/supervision semantics).
         """
         registry = _metrics.REGISTRY
         stats = self._batch_stats
@@ -1058,24 +1036,17 @@ class CampaignRunner:
                 stats["fallbacks"] += 1
                 registry.inc("campaign.batch.fallback")
             registry.inc("campaign.runs.batched", len(completed))
-            for index, payload, wall_s in completed:
-                yield index, True, payload, wall_s, 1
+            if completed:
+                yield [
+                    (index, True, payload, wall_s, 1)
+                    for index, payload, wall_s in completed
+                ]
             scalar.extend(leftovers)
-            # The parent consumed (classified, stored) this batch's
-            # outcomes before the generator resumed: flush them as one
-            # store transaction.
-            if self._flush_store is not None:
-                self._flush_store()
         remaining = sorted(scalar)
         stats["scalar_runs"] += len(remaining)
         if remaining:
             registry.inc("campaign.runs.scalar", len(remaining))
-        for outcome in self._serial_outcomes(remaining, on_error):
-            yield outcome
-            # One row per transaction on the scalar tail — the same
-            # crash-durability record_run gives unbatched campaigns.
-            if self._flush_store is not None:
-                self._flush_store()
+        yield from self._serial_outcomes(remaining)
 
     # -- the campaign -----------------------------------------------------------
 
@@ -1098,24 +1069,40 @@ class CampaignRunner:
             metrics=metrics,
         )
 
-    def _execute_one(self, fault):
-        """Run one faulty simulation; returns (probes, metrics, events).
+    def _attempt(self, index, attempt=None):
+        """Attempt fault ``index`` once: the one fault-attempt body.
 
-        Used both in-process and as the body of a worker process —
-        only picklable data (traces, metric dicts, counters) crosses
-        the boundary in the parallel case.
+        Warm campaigns restore a golden checkpoint, cold ones rebuild
+        the design.  Returns ``(index, ok, payload, wall_s)``: on
+        success ``payload`` is ``(probes, metrics, events)``; on
+        failure it is ``(exception, status)``, the status classified
+        and the flight recorder dumped from the original exception.
+        :meth:`_serial_outcomes` calls it in-process and adds retries;
+        the fork pool calls it in its workers, so only picklable data
+        (traces, metric dicts, counters) crosses back.
         """
-        design, _controller = self.run_fault(fault)
-        metrics = {}
-        for hook in self.metric_hooks:
-            metrics.update(hook(design, fault))
-        return design.probes, metrics, design.sim.events_executed
+        fault = self.spec.faults[index]
+        wall_start = perf_counter()
+        try:
+            if self._warm_start:
+                payload = self.run_fault_warm(fault)
+            else:
+                design, _controller = self.run_fault(fault)
+                metrics = {}
+                for hook in self.metric_hooks:
+                    metrics.update(hook(design, fault))
+                payload = (design.probes, metrics, design.sim.events_executed)
+        except Exception as exc:
+            status = classify_failure(exc)
+            self._dump_postmortem(index, fault, status, exc, attempt)
+            return index, False, (exc, status), perf_counter() - wall_start
+        return index, True, payload, perf_counter() - wall_start
 
     @staticmethod
     def _fork_context():
         """The ``fork`` multiprocessing context, or None when missing.
 
-        Workers inherit the active runner (and warm state) by fork;
+        Workers inherit the runner (and warm state) by fork;
         ``spawn``/``forkserver`` cannot reproduce that, so platforms
         without ``fork`` degrade gracefully to serial execution (the
         caller logs the downgrade) instead of failing the campaign.
@@ -1129,17 +1116,12 @@ class CampaignRunner:
 
     # -- outcome streams ---------------------------------------------------------
 
-    def _serial_outcomes(self, pending, on_error):
-        """Yield ``(index, ok, payload, wall_s, attempts)`` per fault.
+    def _serial_outcomes(self, pending):
+        """One group per fault: ``[(index, ok, payload, wall_s, attempts)]``.
 
-        ``payload`` is the ``(probes, metrics, events)`` tuple on
-        success and ``(exception, status)`` on failure, where
-        ``status`` is one of
-        :data:`~repro.campaign.classify.FAILURE_STATUSES`.  Failed
-        attempts are retried under the runner's retry policy before
-        their terminal outcome is yielded.  With ``on_error="raise"``
-        the first exception propagates untouched, preserving its type
-        for callers.
+        Each fault runs through :meth:`_attempt` (``payload`` as
+        there); failed attempts are retried under the runner's retry
+        policy before the terminal outcome is yielded.
         """
         tracer = _tracer.TRACER
         retry = self._retry
@@ -1150,86 +1132,70 @@ class CampaignRunner:
             attempt = 0
             while True:
                 attempt += 1
-                wall_start = perf_counter()
                 _journal.emit(
                     "run_started", index=index, fault=fault.describe(),
                     attempt=attempt,
                 )
-                try:
-                    with tracer.span(
-                        "campaign.fault_run", index=index,
-                        fault=fault.describe(), attempt=attempt,
-                    ):
-                        payload = (
-                            self.run_fault_warm(fault)
-                            if self._warm_start
-                            else self._execute_one(fault)
-                        )
-                except Exception as exc:
-                    wall_s = perf_counter() - wall_start
-                    if on_error == "raise":
-                        raise
-                    status = classify_failure(exc)
-                    self._dump_postmortem(index, fault, status, exc, attempt)
-                    if retry is not None and attempt < retry.attempts:
-                        _metrics.REGISTRY.inc("campaign.retries")
-                        _journal.emit(
-                            "retry", index=index, attempt=attempt,
-                            delay_s=retry.delay(attempt), status=status,
-                        )
-                        sleep(retry.delay(attempt))
-                        continue
-                    yield index, False, (exc, status), wall_s, attempt
+                with tracer.span(
+                    "campaign.fault_run", index=index,
+                    fault=fault.describe(), attempt=attempt,
+                ) as span:
+                    _index, ok, payload, wall_s = self._attempt(
+                        index, attempt
+                    )
+                    if not ok:
+                        span.annotate(error=type(payload[0]).__name__)
+                if ok or retry is None or attempt >= retry.attempts:
                     break
-                yield index, True, payload, perf_counter() - wall_start, attempt
-                break
+                _metrics.REGISTRY.inc("campaign.retries")
+                _journal.emit(
+                    "retry", index=index, attempt=attempt,
+                    delay_s=retry.delay(attempt), status=payload[1],
+                )
+                sleep(retry.delay(attempt))
+            yield [(index, ok, payload, wall_s, attempt)]
 
-    def _parallel_outcomes(self, pending, workers, on_error, context):
-        """Stream supervised worker outcomes as they complete.
+    def _parallel_outcomes(self, pending, workers, context, monitor):
+        """Supervised worker outcomes, one group per fault, as completed.
 
-        Workers are forked (inheriting the factory, hooks and — warm —
-        the golden design plus snapshots) and individually supervised:
-        a dead worker is detected, attributed to the fault it was
-        running and replaced; a worker that blows the per-fault
-        deadline is killed.  Outcomes stream in *completion* order (the
-        consumer re-sorts by index), so the parent classifies and
-        persists each run while later runs are still simulating, and
-        an interrupt loses at most the results still in flight.
+        Workers are forked (inheriting the factory, hooks — and, warm,
+        the golden design plus checkpoints) and each runs
+        :meth:`_attempt`.  They are individually supervised: a dead
+        worker is detected, attributed to the fault it was running
+        and replaced; a worker that blows the per-fault deadline is
+        killed.  Outcomes stream in *completion* order (the consumer
+        re-sorts by index), so the parent classifies and persists each
+        run while later runs are still simulating, and an interrupt
+        loses at most the results still in flight.
         """
-        global _ACTIVE_RUNNER
         supervisor = WorkerSupervisor(
             context,
-            _worker_execute,
+            self._attempt,
             workers,
-            retry=self._retry if on_error == "collect" else None,
+            retry=self._retry,
             deadline_s=(
                 self._budget.max_wall_s if self._budget is not None else None
             ),
-            monitor=self._worker_monitor,
+            monitor=monitor,
         )
-        _ACTIVE_RUNNER = self
-        try:
-            for position, outcome in enumerate(supervisor.outcomes(pending)):
-                if self.progress is not None:
-                    self.progress(
-                        position, len(pending), self.spec.faults[outcome[0]]
-                    )
-                yield outcome
-        finally:
-            _ACTIVE_RUNNER = None
+        for position, outcome in enumerate(supervisor.outcomes(pending)):
+            if self.progress is not None:
+                self.progress(
+                    position, len(pending), self.spec.faults[outcome[0]]
+                )
+            yield [outcome]
 
     def _planned_outcomes(self, plan, execute, sampled):
-        """The campaign's outcome stream: ``plan``'s chunks, in order.
+        """The campaign's outcome groups: ``plan``'s chunks, in order.
 
-        Every campaign is driven by a chunk plan — an
-        :class:`~repro.campaign.sampling.ExhaustivePlan` holding one
-        chunk of every pending fault, or a :class:`StratifiedSampler`.
-        Each chunk's pending faults run on ``execute``, the serial,
-        batched or fork-pool stream picked once for the campaign, and
-        the chunk is closed with ``finish_chunk`` — legal here because
-        the parent consumer records each outcome into the plan
-        *before* this generator resumes (the same feedback discipline
-        batched mode uses for store flushes).  A sampled stream ends
+        Every campaign is driven by a chunk plan — an exhaustive plan
+        holding one chunk of every pending fault, or a stratified
+        sampler (:func:`~repro.campaign.sampling.build_plan`).  Each
+        chunk's pending faults run on ``execute``, the serial, batched
+        or fork-pool stream picked once for the campaign, and the chunk
+        is closed with ``finish_chunk`` — legal here because the parent
+        consumer classifies, records into the plan and commits each
+        group *before* this generator resumes.  A sampled stream ends
         the moment the pooled interval converges or the population
         runs dry; only a sampled stream journals its chunks and stop.
         """
@@ -1326,8 +1292,9 @@ class CampaignRunner:
         :param max_checkpoints: ceiling on retained golden snapshots
             (default 64).
         :param store: optional
-            :class:`~repro.store.CampaignStore`; every completed run
-            is committed to it immediately.
+            :class:`~repro.store.CampaignStore`; every run is committed
+            to it as it finishes, one transaction per outcome group
+            (a scalar run, or a batch).
         :param resume: with ``store``, skip faults the store already
             holds a successful run for (errored runs are retried).
             The stored fault list and golden traces are verified
@@ -1395,6 +1362,10 @@ class CampaignRunner:
             )
         if resume and store is None:
             raise CampaignError("resume=True requires a store")
+        if sample and margin is None:
+            raise CampaignError(
+                "sampled campaigns need a margin (e.g. margin=0.005)"
+            )
         batch_mode = normalize_batch_mode(batch)
         batch = batch_mode != "off"
         if batch:
@@ -1436,83 +1407,61 @@ class CampaignRunner:
 
         wall_start = perf_counter()
         total = len(self.spec.faults)
+        sampling = None
+        if sample:
+            sampling = {
+                "margin": margin, "confidence": confidence,
+                "seed": sample_seed, "strata": strata, "chunk": chunk,
+            }
         campaign_id = None
-        pending = list(range(total))
+        stored = {}
         if store is not None:
             campaign_id = store.open_campaign(self.spec, resume=resume)
-            if resume:
-                pending = store.pending_indices(
-                    campaign_id, total,
-                    include_quarantined=retry_quarantined,
-                )
             if _journal.JOURNAL.enabled:
                 store.record_journal(
                     campaign_id, _journal.JOURNAL.path,
                     _journal.JOURNAL.session_offset,
                 )
-
-        if store is not None and resume and not sample:
+        if resume:
             # A stored sampling configuration makes --resume continue
             # the sampled campaign without restating the flags.
-            stored_cfg = store.sampling_config(campaign_id)
-            if stored_cfg is not None:
-                sample = True
-                margin = stored_cfg["margin"]
-                confidence = stored_cfg["confidence"]
-                sample_seed = stored_cfg["seed"]
-                strata = stored_cfg["strata"]
-                chunk = stored_cfg["chunk"]
-        if sample:
-            if margin is None:
-                raise CampaignError(
-                    "sampled campaigns need a margin (e.g. margin=0.005)"
-                )
-            if chunk is None:
-                chunk = DEFAULT_CHUNK
-            stored_map = None
-            if store is not None:
-                # The configuration IS the draw sequence; first write
-                # records it, a resume verifies it (StoreError on any
-                # drift).  Callable strata persist as "custom" — the
-                # caller must supply the same callable again on resume.
-                store.record_sampling(
-                    campaign_id, sample_seed, margin, confidence,
-                    strata if isinstance(strata, str) else "custom",
-                    chunk,
-                )
-                if resume:
-                    stored_map = stored_outcomes(
-                        store.run_rows(campaign_id)
+            if sampling is None:
+                sampling = store.sampling_config(campaign_id)
+            if sampling is None:
+                # Settled faults replay as done; failed ones re-run.
+                stored = dict.fromkeys(set(range(total)).difference(
+                    store.pending_indices(
+                        campaign_id, total,
+                        include_quarantined=retry_quarantined,
                     )
-            plan = StratifiedSampler(
-                self.spec.faults,
-                margin=margin,
-                confidence=confidence,
-                seed=sample_seed,
-                strata=strata,
-                chunk=chunk,
-                stored=stored_map,
-            )
-            # In sampled mode the sampler, not pending_indices, owns
-            # the execution order; "pending" is every fault without a
-            # replayed outcome (what could still be drawn).
-            replayed = stored_map or {}
-            pending = [
-                index for index in range(total) if index not in replayed
-            ]
-        else:
-            # One chunk of every pending fault, so batch planning sees
-            # the whole list; faults the store settled replay as done.
-            plan = ExhaustivePlan(
-                total, chunk=max(total, 1),
-                stored=dict.fromkeys(set(range(total)).difference(pending)),
-            )
+                ))
+            else:
+                # Every simulated outcome replays, failed ones included,
+                # so the sampler continues its draw sequence.
+                stored = stored_outcomes(
+                    store.run_rows(campaign_id, skipped=False)
+                )
+        sample = sampling is not None
+        plan = build_plan(
+            self.spec.faults, sampling, stored=stored,
+            # Exhaustive: one chunk of every fault, so batch planning
+            # sees the whole pending list.
+            chunk=None if sample else max(total, 1),
+        )
+        if sample and store is not None:
+            # The configuration IS the draw sequence: the first write
+            # records it, a resume verifies it (StoreError on any
+            # drift).  Callable strata persist as "custom"; the caller
+            # must supply the same callable again on resume.
+            store.record_sampling(campaign_id, **plan.config)
+        # Every fault without a replayed outcome (what could still run).
+        pending = [index for index in range(total) if index not in stored]
 
         if warm_start:
             warm = self.prepare_warm(checkpoint_every, max_checkpoints)
             golden_probes = warm["golden_probes"]
             golden_events = warm["golden_events"]
-            checkpoints = len(warm["snapshots"])
+            checkpoints = len(warm["tree"].trunk)
         else:
             golden = self.run_golden()
             golden_probes = golden.probes
@@ -1549,49 +1498,30 @@ class CampaignRunner:
             resume=bool(resume),
         )
         if batch:
-            execute = partial(
-                self._batched_outcomes, on_error=on_error, mode=batch_mode
-            )
+            execute = partial(self._batched_outcomes, mode=batch_mode)
         elif parallel:
-            self._worker_monitor = self._build_worker_monitor(
-                store, campaign_id
-            )
             execute = partial(
-                self._parallel_outcomes, workers=workers, on_error=on_error,
-                context=context,
+                self._parallel_outcomes, workers=workers, context=context,
+                monitor=self._build_worker_monitor(store, campaign_id),
             )
         else:
-            execute = partial(self._serial_outcomes, on_error=on_error)
+            execute = self._serial_outcomes
         outcomes = self._planned_outcomes(plan, execute, sampled=sample)
 
         registry = _metrics.REGISTRY
+        phases = self._phase_s
         result = CampaignResult(self.spec, golden_probes=golden_probes)
         new_runs = {}
         errors = []
         fault_events = 0
         retried = 0
+        retried_runs = 0
         failure_tally = {RUN_TIMEOUT: 0, RUN_DIVERGED: 0, RUN_CRASHED: 0}
-        # In batched mode successful rows are buffered and committed in
-        # one transaction per batch (the outcome generator triggers the
-        # flush at each batch boundary); the finally clause guarantees
-        # nothing already classified is lost to a late error.
-        store_rows = []
-
-        def _flush_rows():
-            if store is not None and store_rows:
-                store.record_runs(campaign_id, store_rows)
-                store_rows.clear()
-
-        phases = self._phase_s
-
-        def _flush_timed():
-            flush_start = perf_counter()
-            _flush_rows()
-            phases["store_write"] += perf_counter() - flush_start
-
-        self._flush_store = _flush_timed if batch else None
-        try:
-            for index, ok, payload, wall_s, attempts in outcomes:
+        for group in outcomes:
+            # Each group (one scalar run, or one batch) is rendered
+            # here and committed as one transaction.
+            rows = []
+            for index, ok, payload, wall_s, attempts in group:
                 fault = self.spec.faults[index]
                 stratum = plan.stratum_of(index)
                 retried += attempts - 1
@@ -1629,17 +1559,16 @@ class CampaignRunner:
                         attempts=attempts,
                     )
                     if store is not None:
-                        write_start = perf_counter()
-                        store.record_error(
-                            campaign_id, index, message, wall_s,
-                            status=status, attempts=attempts,
-                            quarantined=quarantined, postmortem=postmortem,
-                            stratum=stratum,
-                        )
-                        phases["store_write"] += perf_counter() - write_start
+                        rows.append(error_to_row(
+                            index, None, message, status=status,
+                            wall_s=wall_s, attempts=attempts,
+                            quarantined=quarantined,
+                            postmortem=postmortem, stratum=stratum,
+                        ))
                     continue
                 probes, metrics, events = payload
                 fault_events += events
+                retried_runs += attempts > 1
                 classify_start = perf_counter()
                 run_result = self._evaluate(
                     golden_probes, fault, probes, metrics
@@ -1656,26 +1585,17 @@ class CampaignRunner:
                     attempts=attempts,
                 )
                 if store is not None:
-                    if batch:
-                        store_rows.append(result_to_row(
-                            index, None, run_result, wall_s=wall_s,
-                            kernel_events=events, attempts=attempts,
-                            stratum=stratum,
-                        ))
-                    else:
-                        write_start = perf_counter()
-                        store.record_run(
-                            campaign_id, index, run_result,
-                            wall_s=wall_s, kernel_events=events,
-                            attempts=attempts, stratum=stratum,
-                        )
-                        phases["store_write"] += perf_counter() - write_start
-        finally:
-            _flush_rows()
-            self._flush_store = None
-            self._worker_monitor = None
-        if retried:
-            registry.inc("campaign.retried_runs", retried)
+                    rows.append(result_to_row(
+                        index, None, run_result, wall_s=wall_s,
+                        kernel_events=events, attempts=attempts,
+                        stratum=stratum,
+                    ))
+            if rows:
+                write_start = perf_counter()
+                store.record_runs(campaign_id, rows)
+                phases["store_write"] += perf_counter() - write_start
+        if retried_runs:
+            registry.inc("campaign.retried_runs", retried_runs)
         session_error_indices = {err.index for err in errors}
 
         if sample and plan.finished and store is not None:
@@ -1768,49 +1688,6 @@ class CampaignRunner:
             execution=result.execution,
         )
         return result
-
-
-#: Runner a forked worker should execute against (fork-inherited).
-_ACTIVE_RUNNER = None
-
-
-def _picklable(exc):
-    """The exception itself when it pickles, else a CampaignError twin."""
-    import pickle
-
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return CampaignError(f"{type(exc).__name__}: {exc}")
-
-
-def _worker_execute(index):
-    """Worker body: run fault ``index`` of the inherited runner.
-
-    Warm campaigns restore a golden checkpoint, cold ones rebuild the
-    design.  Failures classify *inside the worker* (on the original
-    exception, before any lossy pickling fallback) and ship as an
-    ``(exception, status)`` payload — after the worker dumps its own
-    flight recorder, which only it holds; the parent locates the dump
-    by its deterministic path.
-    """
-    wall_start = perf_counter()
-    runner = _ACTIVE_RUNNER
-    fault = runner.spec.faults[index]
-    try:
-        payload = (
-            runner.run_fault_warm(fault) if runner._warm_start
-            else runner._execute_one(fault)
-        )
-    except Exception as exc:
-        status = classify_failure(exc)
-        runner._dump_postmortem(index, fault, status, exc, None)
-        return (
-            index, False, (_picklable(exc), status),
-            perf_counter() - wall_start,
-        )
-    return index, True, payload, perf_counter() - wall_start
 
 
 def run_campaign(factory, spec, metric_hooks=(), progress=None, **options):

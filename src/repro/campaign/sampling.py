@@ -47,7 +47,9 @@ Exhaustive campaigns are the degenerate case: :class:`ExhaustivePlan`
 hands out every fault in index order through the same chunk protocol
 (``next_chunk`` / ``record`` / ``finish_chunk`` / ``stratum_of`` /
 ``finished``), with no strata and no early stop, so the runner and the
-distributed coordinator drive every campaign one way.
+distributed coordinator drive every campaign one way.  Both build it
+with :func:`build_plan` from a sampling configuration dict (None means
+exhaustive), the dict the store records and hands back on resume.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from scipy.stats import norm
 
 from ..core.errors import CampaignError
 from .classify import RUN_OK, SILENT
-from .faultlist import batch_key, digital_batch_key
+from .faultlist import batch_key, digital_batch_key, schedule_time
 from .results import _target_of
 from .stats import (
     interval_half_width,
@@ -79,15 +81,6 @@ STRATA_MODES = ("none", "site", "phase", "site-phase")
 
 #: Number of schedule-time buckets for phase stratification.
 DEFAULT_PHASE_BINS = 4
-
-
-def _schedule_time(fault):
-    """Injection instant used for phase stratification."""
-    for attr in ("time", "t_start"):
-        value = getattr(fault, attr, None)
-        if value is not None:
-            return float(value)
-    return 0.0
 
 
 def _site_of(fault):
@@ -110,7 +103,7 @@ def _phase_labels(faults, bins):
     sweep a lock transient get before/during/after strata without any
     knowledge of the DUT.
     """
-    times = [_schedule_time(fault) for fault in faults]
+    times = [schedule_time(fault) for fault in faults]
     distinct = sorted(set(times))
     if len(distinct) <= 1 or bins <= 1:
         return ["p0"] * len(faults)
@@ -420,6 +413,19 @@ class StratifiedSampler(_ChunkBook):
     def rounds(self):
         return self._rounds
 
+    @property
+    def config(self):
+        """The configuration dict that reproduces this draw sequence
+        (callable strata read ``"custom"``): what ``record_sampling``
+        records and :func:`build_plan` takes back on resume."""
+        return {
+            "seed": self.seed,
+            "margin": self.margin,
+            "confidence": self.confidence,
+            "strata": self.strata_mode,
+            "chunk": self.chunk,
+        }
+
     def stratum_of(self, index):
         """Stratum label of fault ``index``."""
         return self._labels[index]
@@ -661,3 +667,38 @@ class StratifiedSampler(_ChunkBook):
             "chunks": self._chunks_issued,
             "strata": strata,
         }
+
+
+def build_plan(faults, sampling=None, chunk=None, stored=None):
+    """The chunk plan of a campaign over ``faults``: the one place the
+    runner, the coordinator (at submit and resume) and the shard
+    planner build theirs.
+
+    :param sampling: None for an :class:`ExhaustivePlan`, else a
+        configuration dict shaped like :attr:`StratifiedSampler.config`
+        (``margin`` required, the rest defaulted).
+    :param chunk: faults per chunk, overriding the configuration's
+        (default :data:`DEFAULT_CHUNK`).
+    :param stored: optional ``index -> outcome`` map of faults that
+        need no simulation, replayed as their chunk is handed out.
+    :raises CampaignError: for a sampling configuration without margin.
+    """
+    if chunk is None:
+        chunk = (sampling or {}).get("chunk")
+    if chunk is None:
+        chunk = DEFAULT_CHUNK
+    if sampling is None:
+        return ExhaustivePlan(len(faults), chunk=chunk, stored=stored)
+    if sampling.get("margin") is None:
+        raise CampaignError(
+            "sampled campaigns need a margin (e.g. margin=0.005)"
+        )
+    return StratifiedSampler(
+        faults,
+        margin=sampling["margin"],
+        confidence=sampling.get("confidence", 0.95),
+        seed=sampling.get("seed", 0),
+        strata=sampling.get("strata", "site-phase"),
+        chunk=chunk,
+        stored=stored,
+    )

@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import logging
 import os
+import pickle
 import threading
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_ready
 from time import monotonic, sleep
 
-from ..core.errors import ReproError, WorkerCrashError
+from ..core.errors import CampaignError, ReproError, WorkerCrashError
 from ..obs import metrics as _metrics
 from .classify import RUN_CRASHED, RUN_TIMEOUT
 
@@ -90,6 +91,22 @@ class RetryPolicy:
         return min(self.backoff_cap_s, self.backoff_s * 2 ** (failures - 1))
 
 
+def _picklable(outcome):
+    """``outcome`` with a failure's exception fit to cross the pipe:
+    one that does not survive a pickle round trip ships as a
+    :class:`~repro.core.errors.CampaignError` naming its type and
+    message (the worker classified the original)."""
+    index, ok, payload, wall_s = outcome
+    if ok:
+        return outcome
+    exc, status = payload
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = CampaignError(f"{type(exc).__name__}: {exc}")
+    return index, ok, (exc, status), wall_s
+
+
 def _supervised_worker(conn, body, heartbeat_s=None):
     """Worker main loop: receive a fault index, run it, send the outcome.
 
@@ -137,7 +154,7 @@ def _supervised_worker(conn, body, heartbeat_s=None):
             set_worker_phase("idle")
             WORKER_PHASE["index"] = None
             with send_lock:
-                conn.send(("result", outcome))
+                conn.send(("result", _picklable(outcome)))
     finally:
         stop.set()
         conn.close()
@@ -168,10 +185,12 @@ class WorkerSupervisor:
     """Fault-tolerant fan-out of campaign runs over forked workers.
 
     :param context: a ``fork`` multiprocessing context (workers inherit
-        the active runner, design factory and warm state by fork).
-    :param body: module-level callable ``(index) -> outcome tuple``;
-        must catch run exceptions itself (see
-        :func:`repro.campaign.runner._worker_execute`).
+        the runner, design factory and warm state by fork).
+    :param body: any callable the fork inherits — a bound method
+        works, nothing is pickled — taking a fault index and returning
+        ``(index, ok, payload, wall_s)``, where a failure's payload is
+        ``(exception, status)``; it must catch run exceptions itself
+        (see :meth:`repro.campaign.runner.CampaignRunner._attempt`).
     :param workers: maximum concurrent worker processes.
     :param retry: optional :class:`RetryPolicy`; ``None`` fails each
         fault on its first bad attempt (``on_error="raise"`` mode).

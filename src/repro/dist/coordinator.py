@@ -15,9 +15,10 @@ Every job moves through one lifecycle, exhaustive or sampled::
         -> shard complete -> merged (a state change) in chunk order
         -> plan finished -> unmerged rows deleted -> job complete
 
-The plan is an :class:`~repro.campaign.sampling.ExhaustivePlan` (every
-fault in index order, all chunks drawn at submit) or a
-:class:`~repro.campaign.sampling.StratifiedSampler` (chunks drawn round
+The plan comes from :func:`~repro.campaign.sampling.build_plan`, at
+submit and at resume alike, with the job's sampling configuration and
+``shard_size`` chunks: an exhaustive plan (every fault in index order,
+all chunks drawn at submit) or a stratified sampler (chunks drawn round
 by round, stopping early once its interval closes); shard ``k`` is
 chunk ``k`` either way.  Merging strictly in chunk order is what makes
 the final store — and a sampler's convergence decisions — identical to
@@ -56,12 +57,7 @@ import threading
 from collections import deque
 from time import monotonic
 
-from ..campaign.sampling import (
-    ExhaustivePlan,
-    StratifiedSampler,
-    row_outcome,
-    stored_outcomes,
-)
+from ..campaign.sampling import build_plan, row_outcome, stored_outcomes
 from ..core.errors import ReproError
 from ..obs import journal as _journal
 from ..store.serialize import fault_key, spec_from_dict, spec_to_dict
@@ -288,14 +284,16 @@ class Coordinator:
         crash at any later moment can :meth:`resume` it.
 
         :param sampling: optional adaptive-sampling configuration dict
-            (``margin`` required; ``confidence``, ``seed``, ``strata``
-            optional).  A sampled job's stratified sampler draws chunks
-            of ``shard_size`` faults round by round, and the job stops
+            for :func:`~repro.campaign.sampling.build_plan` (``margin``
+            required; ``confidence``, ``seed``, ``strata`` optional).
+            A sampled job's stratified sampler draws chunks of
+            ``shard_size`` faults round by round, and the job stops
             — revoking outstanding leases — the moment the pooled
             Wilson interval closes to the margin.  The sampling config
             stays coordinator-side; workers execute plain exhaustive
             shards.
         :raises ShardError: for a spec without faults.
+        :raises CampaignError: for a sampling config without a margin.
         """
         with self._lock:
             if not spec.faults:
@@ -304,14 +302,14 @@ class Coordinator:
                 )
             if sampling is not None:
                 sampling = dict(sampling)
-            plan = self._build_plan(spec, sampling)
+            # One chunk is one shard, so a distributed sampled campaign
+            # is row-identical to a single-host run with
+            # ``chunk=shard_size``.
+            plan = build_plan(spec.faults, sampling, chunk=self.shard_size)
             store = self._final_store()
             campaign_id = store.open_campaign(spec, resume=False)
             if sampling is not None:
-                store.record_sampling(
-                    campaign_id, plan.seed, plan.margin, plan.confidence,
-                    plan.strata_mode, plan.chunk,
-                )
+                store.record_sampling(campaign_id, **plan.config)
             if _journal.JOURNAL.enabled:
                 store.record_journal(
                     campaign_id, _journal.JOURNAL.path,
@@ -339,33 +337,6 @@ class Coordinator:
             )
             self._feed_waiting_workers()
             return job_id
-
-    def _build_plan(self, spec, sampling, stored=None, chunk=None):
-        """A job's chunk plan: exhaustive, or sampled per its config.
-
-        The chunk size is the coordinator's ``shard_size`` — one chunk
-        is one shard — so a distributed sampled campaign is
-        row-identical to a single-host run with ``chunk=shard_size``.
-        """
-        chunk = self.shard_size if chunk is None else chunk
-        if sampling is None:
-            return ExhaustivePlan(len(spec.faults), chunk=chunk,
-                                  stored=stored)
-        try:
-            margin = sampling["margin"]
-        except KeyError:
-            raise CoordinatorError(
-                "sampled jobs need a 'margin' in their sampling config"
-            ) from None
-        return StratifiedSampler(
-            spec.faults,
-            margin=margin,
-            confidence=sampling.get("confidence", 0.95),
-            seed=sampling.get("seed", 0),
-            strata=sampling.get("strata", "site-phase"),
-            chunk=chunk,
-            stored=stored,
-        )
 
     def submit_dict(self, spec_dict, netlist=None, config=None,
                     sampling=None):
@@ -433,8 +404,8 @@ class Coordinator:
         merged = {row["shard_id"] for row in shards
                   if row["state"] == "merged"}
         rows = store.run_rows(campaign_id)
-        plan = self._build_plan(
-            spec, sampling, chunk=record["shard_size"],
+        plan = build_plan(
+            spec.faults, sampling, chunk=record["shard_size"],
             stored=stored_outcomes(
                 row for row in rows if row["shard_id"] in merged
             ),

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..campaign.sampling import ExhaustivePlan
+from ..campaign.sampling import build_plan
 from ..core.errors import ReproError
 from ..store.serialize import fault_key, spec_from_dict, spec_to_dict
 
@@ -178,7 +178,7 @@ def plan_shards(spec, shard_size=DEFAULT_SHARD_SIZE, netlist=None,
     order, so a contiguous slice needs few golden checkpoints and
     batches well on the worker.  These are exactly the shards the
     coordinator cuts from an exhaustive job's chunk plan
-    (:class:`~repro.campaign.sampling.ExhaustivePlan` through
+    (:func:`~repro.campaign.sampling.build_plan` through
     :func:`plan_chunk_shard`).
 
     :param spec: a :class:`~repro.campaign.spec.CampaignSpec`.
@@ -193,7 +193,7 @@ def plan_shards(spec, shard_size=DEFAULT_SHARD_SIZE, netlist=None,
         raise ShardError(f"campaign {spec.name!r} has no faults to shard")
     base = spec_to_dict(spec)
     keys = [fault_key(fault) for fault in spec.faults]
-    plan = ExhaustivePlan(len(spec.faults), chunk=shard_size)
+    plan = build_plan(spec.faults, chunk=shard_size)
     return [
         plan_chunk_shard(base, keys, chunk.ident, chunk.indices,
                          netlist=netlist, config=config)

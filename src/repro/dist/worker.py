@@ -401,7 +401,7 @@ class RowStreamStore(StoreBackend):
         )])
 
     def record_runs(self, campaign_id, rows):
-        """Batch outcomes ship as one frame (batched campaigns)."""
+        """One outcome group (a scalar run or a batch), one frame."""
         if rows:
             self._ship(rows)
 

@@ -4,9 +4,13 @@ The campaign runner was written against one concrete store — a single
 SQLite file — but a distributed worker needs another kind of sink
 behind the same method surface: a socket-streaming sink that ships
 rows to a remote coordinator instead of touching disk at all.
-:class:`StoreBackend` names that surface: exactly the methods
+:class:`StoreBackend` names that surface: the methods
 :meth:`~repro.campaign.runner.CampaignRunner.run` calls on its
-``store`` argument.
+``store`` argument, plus the two single-run writers
+(:meth:`~StoreBackend.record_run`, :meth:`~StoreBackend.record_error`).
+The runner records every run with :meth:`~StoreBackend.record_runs`:
+one call, and one transaction, per outcome group (a scalar run or a
+batch), failed runs included.
 
 :class:`~repro.store.store.CampaignStore` (SQLite) is the reference
 implementation; :class:`~repro.dist.worker.RowStreamStore`
@@ -16,8 +20,8 @@ lightweight backends only implement what they persist.
 
 Both persist one **row dict** per terminal run, in the format
 :mod:`repro.store.serialize` owns (:data:`~repro.store.serialize.ROW_FIELDS`):
-a backend renders the objects it is handed with that module's
-renderers, and batched runs arrive already rendered.
+the runner's rows arrive already rendered, and the single-run writers
+render the objects they are handed with that module's renderers.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ import abc
 class StoreBackend(abc.ABC):
     """Abstract campaign results sink.
 
-    The contract mirrors the runner's store interactions one-to-one:
+    The contract mirrors the runner's store interactions:
     registration (:meth:`open_campaign`, :meth:`check_golden`), resume
     queries (:meth:`pending_indices`, :meth:`load_runs`,
-    :meth:`load_errors`), per-run recording (:meth:`record_run`,
-    :meth:`record_runs`, :meth:`record_error`), the final execution
-    record (:meth:`record_execution`) and the optional telemetry hooks.
+    :meth:`load_errors`), run recording (:meth:`record_runs`, plus the
+    single-run :meth:`record_run` and :meth:`record_error`), the final
+    execution record (:meth:`record_execution`) and the optional
+    telemetry hooks.
     All backends are context managers with an idempotent
     :meth:`close`.
     """
@@ -96,10 +101,11 @@ class StoreBackend(abc.ABC):
 
     @abc.abstractmethod
     def record_runs(self, campaign_id, rows):
-        """Persist many completed runs (one batch).
+        """Persist one outcome group of runs (one transaction).
 
         :param rows: a list of row dicts rendered by
-            :func:`~repro.store.serialize.result_to_row`, each ``idx``
+            :func:`~repro.store.serialize.result_to_row` or
+            :func:`~repro.store.serialize.error_to_row`, each ``idx``
             the campaign's own fault index and ``key`` possibly None.
         """
 

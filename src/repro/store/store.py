@@ -193,15 +193,14 @@ def _loads(text):
 def _rebuild(rows, faults):
     """``({index: FaultResult}, [CampaignRunError])`` from run rows.
 
-    ``faults`` supplies the fault instances; ``skipped`` rows rebuild
-    to neither.
+    ``faults`` supplies the fault instances; ``rows`` hold no
+    ``skipped`` row (:meth:`CampaignStore.run_rows` with
+    ``skipped=False``).
 
     :raises StoreError: for a row past the end of ``faults``.
     """
     runs, errors = {}, []
     for row in rows:
-        if row["status"] == "skipped":
-            continue
         index = row["idx"]
         if index >= len(faults):
             raise StoreError(f"run row for fault {index} exceeds fault list")
@@ -543,17 +542,17 @@ class CampaignStore(StoreBackend):
         )])
 
     def record_runs(self, campaign_id, rows):
-        """Persist many completed runs in **one** transaction.
+        """Persist one outcome group of runs in **one** transaction.
 
-        The batched-campaign complement of :meth:`record_run` (which
-        commits per row): an ensemble batch classifies a whole group
-        of runs at once, and committing them with a single
-        ``executemany`` amortises the fsync that otherwise dominates
-        many-small-runs campaigns.  Crash durability is per *batch*:
-        an interrupted campaign loses at most the rows of the batch in
-        flight, which resume re-runs.
+        The campaign runner's only run writer: one call per outcome
+        group — a scalar run, failed or not, or a whole batch, whose
+        single ``executemany`` amortises the fsync that otherwise
+        dominates many-small-runs campaigns.  Crash durability is per
+        group: an interrupted campaign loses at most the run or the
+        batch in flight, which resume re-runs.
 
-        :param rows: row dicts (:func:`~repro.store.serialize.result_to_row`).
+        :param rows: row dicts (:func:`~repro.store.serialize.result_to_row`
+            or :func:`~repro.store.serialize.error_to_row`).
         """
         self._write_runs(campaign_id, rows)
 
@@ -696,15 +695,17 @@ class CampaignStore(StoreBackend):
         )
         self._conn.commit()
 
-    def run_rows(self, campaign_id):
+    def run_rows(self, campaign_id, skipped=True):
         """Every recorded run as a row dict, in fault-index order.
 
         The one reader of the ``runs`` table's full rows: the inverse
         of :meth:`record_row`, with the fault's content ``key`` joined
         in from the fault list and the row's ``shard_id``.
-        :meth:`load_runs`, :meth:`load_errors` and :meth:`load_result`
-        rebuild objects from it; the coordinator's resume and
-        row-identity tests read it directly.
+        ``skipped=False`` leaves the ``skipped`` rows out in SQL: on a
+        sampled store they can outnumber the simulated runs several
+        times over, and :meth:`load_runs`, :meth:`load_errors` and
+        :meth:`load_result` rebuild objects from the rest.  The
+        coordinator's resume and row-identity tests read every row.
         """
         return [
             {
@@ -728,7 +729,9 @@ class CampaignStore(StoreBackend):
                 "SELECT r.*, f.key AS fault_key FROM runs r"
                 " LEFT JOIN faults f ON f.campaign_id = r.campaign_id"
                 " AND f.idx = r.fault_idx"
-                " WHERE r.campaign_id = ? ORDER BY r.fault_idx",
+                " WHERE r.campaign_id = ?"
+                + ("" if skipped else " AND r.status != 'skipped'")
+                + " ORDER BY r.fault_idx",
                 (campaign_id,),
             )
         ]
@@ -918,7 +921,7 @@ class CampaignStore(StoreBackend):
         list when merging into a resumed campaign, or the stored
         spec's when loading standalone.
         """
-        return _rebuild(self.run_rows(campaign_id), faults)[0]
+        return _rebuild(self.run_rows(campaign_id, skipped=False), faults)[0]
 
     def load_errors(self, campaign_id, faults):
         """Failed runs as a list of :class:`CampaignRunError`.
@@ -929,7 +932,7 @@ class CampaignStore(StoreBackend):
         sampled campaign *skipped* by early stop are not errors and
         are excluded.
         """
-        return _rebuild(self.run_rows(campaign_id), faults)[1]
+        return _rebuild(self.run_rows(campaign_id, skipped=False), faults)[1]
 
     def journal_location(self, name=None):
         """The recorded ``(journal_path, journal_offset)`` (or None)."""
@@ -974,8 +977,9 @@ class CampaignStore(StoreBackend):
         campaign_id = self.campaign_id(name)
         spec = self.load_spec(campaign_id)
         result = CampaignResult(spec)
-        runs, result.errors = _rebuild(self.run_rows(campaign_id),
-                                       spec.faults)
+        runs, result.errors = _rebuild(
+            self.run_rows(campaign_id, skipped=False), spec.faults
+        )
         result.runs = list(runs.values())
         row = self._conn.execute(
             "SELECT execution_json FROM campaigns WHERE id = ?",

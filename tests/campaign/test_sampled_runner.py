@@ -116,6 +116,13 @@ class TestSampledRun:
             run_campaign(factory, make_spec(), sample=True,
                          on_error="collect")
 
+    def test_sample_without_margin_leaves_the_store_empty(self, tmp_path):
+        with CampaignStore(tmp_path / "c.sqlite") as store:
+            with pytest.raises(CampaignError, match="need a margin"):
+                run_campaign(factory, make_spec(), sample=True,
+                             on_error="collect", store=store)
+            assert store.status() == []
+
 
 class TestExhaustiveReportInterval:
     def test_wilson_line_without_sampling(self):

@@ -41,6 +41,7 @@ from repro.core import (
 )
 from repro.core.errors import ReproError, SimulationError
 from repro.digital import Bus, ClockGen, Counter, ParityGen
+from repro.obs.flightrec import postmortem_path
 from repro.store import SCHEMA_VERSION, CampaignStore
 
 needs_fork = pytest.mark.skipif(
@@ -160,6 +161,25 @@ class TestSerialSupervision:
                 metric_hooks=[hook_raising_on("top/counter.q[2]", 55e-9)],
                 on_error="raise",
             )
+
+    @pytest.mark.parametrize("warm_start", [False, True])
+    def test_raise_mode_propagates_the_original_exception(self, tmp_path,
+                                                         warm_start):
+        """The first failure's own exception object aborts the campaign,
+        once its post-mortem is dumped as for a collected failure."""
+        boom = RuntimeError("injected test failure")
+
+        def hook(design, fault):
+            if targets_time(fault) == ("top/counter.q[2]", 55e-9):
+                raise boom
+            return {}
+
+        with pytest.raises(RuntimeError) as caught:
+            run_campaign(factory, make_spec(), metric_hooks=[hook],
+                         on_error="raise", warm_start=warm_start,
+                         postmortem_dir=tmp_path)
+        assert caught.value is boom
+        assert os.path.exists(postmortem_path(tmp_path, 7))
 
     def test_event_budget_classifies_timeout(self):
         result = run_campaign(factory, make_spec(), on_error="collect",

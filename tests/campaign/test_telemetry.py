@@ -304,6 +304,30 @@ class TestWorkerTelemetry:
         assert sorted(r["pid"] for r in rows) == sorted(pids)
         assert all(r["state"] == "alive" for r in rows)
 
+    def test_worker_rows_written_on_lifecycle_not_per_task(self, tmp_path):
+        """Spawn, heartbeat and death write worker rows; a task does
+        not, so a pool of fast faults writes fewer rows than runs."""
+
+        class CountingStore(CampaignStore):
+            worker_writes = 0
+
+            def record_worker(self, *args, **kwargs):
+                self.worker_writes += 1
+                super().record_worker(*args, **kwargs)
+
+        faults = exhaustive_bitflips(
+            [f"top/counter.q[{i}]" for i in range(4)],
+            [13e-9 + 10e-9 * k for k in range(10)],
+        )
+        spec = CampaignSpec(name="rows", faults=faults, t_end=150e-9,
+                            outputs=["parity"])
+        with CountingStore(tmp_path / "c.sqlite") as store:
+            result = run_campaign(factory, spec, workers=2, store=store)
+            rows = store.worker_rows("rows")
+        assert len(result.runs) == 40
+        assert store.worker_writes < len(result.runs)
+        assert rows and all(row["state"] == "alive" for row in rows)
+
     def test_dead_worker_row_records_exit(self, tmp_path):
         def killer(design, fault):
             if targets_time(fault) == ("top/counter.q[0]", 55e-9):

@@ -3,7 +3,13 @@
 import numpy as np
 
 from repro import obs
-from repro.campaign import CampaignSpec, Design, exhaustive_bitflips, run_campaign
+from repro.campaign import (
+    CampaignSpec,
+    Design,
+    RetryPolicy,
+    exhaustive_bitflips,
+    run_campaign,
+)
 from repro.core import Component, L0, Simulator
 from repro.digital import Bus, ClockGen, Counter, ParityGen
 from repro.obs import metrics, tracer
@@ -102,6 +108,37 @@ class TestCampaignInstrumentation:
         counters = metrics.snapshot()["counters"]
         assert counters.get("campaign.warm.hit", 0) == 4
         assert counters.get("campaign.warm.miss", 0) == 0
+
+    def test_retried_runs_counts_successes_after_a_retry(self):
+        """One fault succeeds on its third attempt and one is
+        quarantined after three: four retries, one retried run."""
+        faults = exhaustive_bitflips(
+            [f"top/counter.q[{i}]" for i in range(4)], [33e-9, 55e-9, 77e-9]
+        )
+        spec = CampaignSpec(name="retried", faults=faults, t_end=300e-9,
+                            outputs=["parity"])
+        calls = {"top/counter.q[1]": 0, "top/counter.q[2]": 0}
+
+        def flaky(design, fault):
+            target = fault.targets()[0]
+            if fault.time == 55e-9 and target in calls:
+                calls[target] += 1
+                if target == "top/counter.q[2]" or calls[target] < 3:
+                    raise RuntimeError("injected failure")
+            return {}
+
+        obs.enable()
+        result = run_campaign(
+            factory, spec, metric_hooks=[flaky], on_error="collect",
+            retry=RetryPolicy(attempts=3, backoff_s=0),
+        )
+        (err,) = result.errors
+        assert err.quarantined and err.attempts == 3
+        assert len(result.runs) == 11
+        assert result.execution["retries"] == 4
+        counters = metrics.snapshot()["counters"]
+        assert counters["campaign.retries"] == 4
+        assert counters["campaign.retried_runs"] == 1
 
     def test_run_wall_histogram_populated(self):
         obs.enable()

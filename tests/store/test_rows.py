@@ -119,3 +119,48 @@ def test_record_error_refuses_non_failure_statuses(store, status):
     with pytest.raises(StoreError, match="run row for fault 0"):
         store.record_error(campaign_id, 0, "boom", status=status)
     assert store.run_rows(campaign_id) == []
+
+
+def test_loaders_leave_skipped_rows_in_the_database(store, monkeypatch):
+    """On a store mixing ok, failed, quarantined and skipped rows, the
+    three loaders rebuild the same objects, and no skipped row is read."""
+    spec = make_spec(n=6)
+    campaign_id = store.open_campaign(spec)
+    ok = {0: make_result(spec.faults[0]),
+          3: make_result(spec.faults[3], label="failure")}
+    errors = [
+        CampaignRunError(1, spec.faults[1], "BudgetExceededError: wall",
+                         status="timeout"),
+        CampaignRunError(2, spec.faults[2], "RuntimeError: boom",
+                         status="error", attempts=2, quarantined=True),
+    ]
+    store.record_runs(campaign_id, [
+        result_to_row(index, None, result, wall_s=0.1, stratum="s")
+        for index, result in ok.items()
+    ] + [
+        error_to_row(err.index, None, err.message, status=err.status,
+                     attempts=err.attempts, quarantined=err.quarantined,
+                     stratum="s")
+        for err in errors
+    ])
+    store.record_skipped(campaign_id, [(4, "s"), (5, "s")])
+    assert [row["status"] for row in store.run_rows(campaign_id)] == [
+        "ok", "timeout", "error", "ok", "skipped", "skipped"
+    ]
+
+    statuses_read = []
+    run_rows = CampaignStore.run_rows
+
+    def spy(self, *args, **kwargs):
+        rows = run_rows(self, *args, **kwargs)
+        statuses_read.extend(row["status"] for row in rows)
+        return rows
+
+    monkeypatch.setattr(CampaignStore, "run_rows", spy)
+    assert store.load_runs(campaign_id, spec.faults) == ok
+    assert store.load_errors(campaign_id, spec.faults) == errors
+    loaded = store.load_result()
+    assert loaded.runs == list(ok.values())
+    assert loaded.errors == errors
+    assert statuses_read
+    assert "skipped" not in statuses_read
