@@ -17,11 +17,12 @@ Two execution strategies are available:
   the single golden run the kernel takes :class:`Snapshot` checkpoints
   just before the faults' injection times, and each faulty run
   *restores* the nearest checkpoint at or before its injection time
-  and simulates only the ``[t_ckpt, t_end]`` suffix.  The shared
-  golden prefix of every trace is preserved through the restore, so
-  results are bit-identical to cold runs while skipping the identical
-  warm-up — for the paper's PLL campaign, where every fault injects
-  after lock, that removes the bulk of each run.
+  and simulates only the ``[t_ckpt, t_end]`` suffix.  The checkpoint
+  tree (:mod:`repro.core.ckpt_tree`) restores every trace's golden
+  prefix along with the kernel state, so results are bit-identical to
+  cold runs while skipping the identical warm-up — for the paper's
+  PLL campaign, where every fault injects after lock, that removes the
+  bulk of each run.
 
 Warm start relies on the same grid-identity discipline as comparison:
 the union of all faults' solver refinement windows is pre-applied to
@@ -40,6 +41,7 @@ call of the fault-attempt body :meth:`CampaignRunner._attempt`.
 
 from __future__ import annotations
 
+import inspect
 import logging
 import os
 from dataclasses import dataclass, field
@@ -50,7 +52,6 @@ from ..core.budget import NumericalGuard, RunBudget
 from ..core.ckpt_tree import CheckpointTree
 from ..core.ensemble import Ensemble, EnsembleDrainedError
 from ..core.errors import CampaignError
-from ..core.trace import Trace
 from ..core.units import parse_quantity
 from ..injection.controller import CurrentInjection, InjectionController
 from ..obs import journal as _journal
@@ -424,9 +425,9 @@ class CampaignRunner:
     def prepare_warm(self, checkpoint_every=None, max_checkpoints=None):
         """Build the design, run the golden simulation and checkpoint it.
 
-        Returns the warm-state dict (design, checkpoint tree, golden
-        probe clones, saboteur map).  Idempotent: subsequent calls reuse the
-        prepared state.
+        Returns the warm-state dict (design, checkpoint tree with the
+        golden record, golden probe clones, saboteur map).  Idempotent:
+        subsequent calls reuse the prepared state.
         """
         if self._warm is not None:
             return self._warm
@@ -470,32 +471,19 @@ class CampaignRunner:
                           else max_checkpoints)
         )
         tree.set_trunk(snapshots)
+        tree.keep_golden()
         self._warm.update(
             tree=tree,
             golden_probes={
                 name: trace.clone()
                 for name, trace in design.probes.items()
             },
-            # Full golden sample data for every kernel trace, used to
-            # re-splice the golden prefix after each restore: a restore
-            # only truncates traces back to the checkpoint *length*,
-            # and once a faulty run has overwritten the suffix, the
-            # region between an earlier restore point and the current
-            # checkpoint would otherwise carry stale faulty samples.
-            golden_trace_data=[
-                (trace, trace._times.copy_data(), trace._values.copy_data())
-                for trace in sim._traces
-            ],
             golden_events=sim.events_executed - events_before,
         )
-        self._warm["golden_by_id"] = {
-            id(trace): (times, values)
-            for trace, times, values in self._warm["golden_trace_data"]
-        }
         return self._warm
 
     def _restore_point(self, fault):
-        """The ``(time, snapshot)`` checkpoint a warm run restores.
+        """The trunk node a warm run of ``fault`` restores.
 
         A restore at t > 0 is a warm-start *hit* (golden prefix
         skipped); falling back to the base t=0 checkpoint is a *miss*
@@ -505,57 +493,7 @@ class CampaignRunner:
         t_inj = schedule_time(fault)
         if _needs_strict_checkpoint(fault):
             t_inj -= self._nominal_dt()
-        node = warm["tree"].trunk_at(t_inj)
-        return node.time, node.snapshot
-
-    @staticmethod
-    def _resplice_golden_prefixes(warm):
-        """Rewrite every kernel trace's prefix with golden sample data.
-
-        A restore truncates traces back to the checkpoint *length*;
-        once a faulty run has overwritten the suffix, the region
-        between an earlier restore point and the current checkpoint
-        would otherwise carry stale faulty samples.
-        """
-        for trace, times, values in warm["golden_trace_data"]:
-            n = len(trace._times)
-            trace._times.load_prefix(times, n)
-            trace._values.load_prefix(values, n)
-            trace._cache = None
-
-    @staticmethod
-    def _reinflate_golden(warm):
-        """Reload every kernel trace with the *full* golden record.
-
-        A checkpoint restore can only truncate traces, which assumes
-        the live trace is at least as long as the snapshot recorded —
-        true after a full golden run, but not after a convergence
-        early-out stopped a digital mutant mid-window, and not after a
-        faulty run that *quieted* a probe (an upset that halts
-        activity records fewer samples than golden had by the next
-        fault's checkpoint).  Reloading the complete golden data first
-        makes any snapshot restorable again: truncation then yields
-        exactly the golden prefix, no re-splice needed.
-        """
-        for trace, times, values in warm["golden_trace_data"]:
-            trace._times.load_prefix(times, len(times))
-            trace._values.load_prefix(values, len(values))
-            trace._cache = None
-
-    @staticmethod
-    def _ensure_restorable(warm, snap):
-        """Make ``snap``'s trace truncation sound before a restore.
-
-        Cheap guard over :meth:`_reinflate_golden`: only reload the
-        full golden record when some live trace is actually shorter
-        than the checkpoint recorded, so the common case (previous run
-        produced at least as many samples) keeps the prefix-only
-        re-splice cost.
-        """
-        if any(
-            len(trace) < length for trace, length in snap.trace_lengths
-        ):
-            CampaignRunner._reinflate_golden(warm)
+        return warm["tree"].trunk_at(t_inj)
 
     def _add_phase(self, name, seconds):
         """Accrue ``seconds`` to a phase while a campaign is running."""
@@ -576,17 +514,14 @@ class CampaignRunner:
         # Budget the faulty suffix only (the restore below also resets
         # the guard's step history via the solver's invalidate hook).
         self._arm(sim)
-
-        t_ckpt, snap = self._restore_point(fault)
+        node = self._restore_point(fault)
 
         events_before = sim.events_executed
         set_worker_phase("restore")
         restore_start = perf_counter()
-        self._ensure_restorable(warm, snap)
-        sim.restore(snap)
-        self._resplice_golden_prefixes(warm)
+        warm["tree"].restore(node)
         step_start = perf_counter()
-        _journal.emit("checkpoint_restored", t_ckpt=t_ckpt)
+        _journal.emit("checkpoint_restored", t_ckpt=node.time)
         set_worker_phase("simulate")
         controller = InjectionController(
             sim, design.root, saboteurs=warm["saboteurs"]
@@ -639,13 +574,13 @@ class CampaignRunner:
         for index in sorted(pending):
             fault = self.spec.faults[index]
             if mode in ("auto", "analog") and batch_key(fault) is not None:
-                t_ckpt, _snap = self._restore_point(fault)
+                t_ckpt = self._restore_point(fault).time
                 analog_groups.setdefault(t_ckpt, []).append(index)
             elif (
                 mode in ("auto", "digital")
                 and digital_batch_key(fault) is not None
             ):
-                t_ckpt, _snap = self._restore_point(fault)
+                t_ckpt = self._restore_point(fault).time
                 digital_groups.setdefault(t_ckpt, []).append(index)
             else:
                 scalar.append(index)
@@ -714,7 +649,7 @@ class CampaignRunner:
         info = {"peeled": 0, "fallback": False}
         wall_start = perf_counter()
 
-        _t_ckpt, snap = self._restore_point(faults[0][1])
+        node = self._restore_point(faults[0][1])
         events_before = sim.events_executed
         sim.budget = self._scaled_budget(k)
         # The per-run flight recorder is a scalar-path instrument; a
@@ -723,9 +658,7 @@ class CampaignRunner:
         sim.analog.recorder = None
         ensemble = Ensemble(sim, k, guard=self._guard)
         try:
-            self._ensure_restorable(warm, snap)
-            sim.restore(snap)
-            self._resplice_golden_prefixes(warm)
+            warm["tree"].restore(node)
             step_start = perf_counter()
             for pos, (_index, fault) in enumerate(faults):
                 ensemble.add_injection(
@@ -800,59 +733,20 @@ class CampaignRunner:
             t = t_last + (times[-1] - t_last) + gap
         return times
 
-    def _golden_nodes(self, warm, times):
-        """Golden checkpoint nodes at exactly ``times`` (ascending).
-
-        A time the checkpoint tree already holds — a trunk checkpoint,
-        or a branch node an earlier batch memoised — costs a lookup.
-        Any other is reached by walking the golden trajectory from the
-        latest node held before it (restored only when the simulator
-        does not already sit on that node) and is memoised for later
-        batches.  Golden work: never budgeted or recorded, mirroring
-        the unarmed golden run.  Returns ``(nodes, captured)`` where
-        ``captured`` counts the new snapshots.
-        """
-        tree = warm["tree"]
-        sim = warm["design"].sim
-        sim.budget = None
-        sim.analog.recorder = None
-        # A walk appends to the trace buffers, so their prefixes must
-        # hold golden samples, not what the last faulty run left.
-        self._reinflate_golden(warm)
-        nodes = []
-        captured = 0
-        here = None  # the held node the simulator sits on
-        for t in times:
-            node = tree.golden_at(t)
-            if node.time != t:
-                if node is not here:
-                    self._ensure_restorable(warm, node.snapshot)
-                    sim.restore(node.snapshot)
-                sim.run(t, inclusive=False)
-                node = here = tree.memoise(t, sim.snapshot())
-                captured += 1
-            nodes.append(node)
-        return nodes, captured
-
     def run_batch_digital(self, indices):
         """Execute one batch of digital mutants off shared golden nodes.
 
-        The copy-on-divergence strategy: the batch needs a golden
-        checkpoint node at every distinct flip time plus a geometric
-        convergence horizon (:meth:`_horizon_times`), and takes each
-        from the checkpoint tree (:meth:`_golden_nodes`) — the golden
-        trajectory is walked only from the latest node the tree holds,
-        and the nodes it captures stay memoised for later batches.
-        Every mutant then costs one cheap restore of the node at
-        exactly its flip time — the shared golden prefix is never
-        simulated per mutant — and runs forward only until its state
+        The copy-on-divergence strategy: the checkpoint tree's golden
+        walk (:meth:`~repro.core.ckpt_tree.CheckpointTree.walk`) yields
+        a node at every distinct flip time plus a geometric convergence
+        horizon (:meth:`_horizon_times`).  Each mutant restores the node
+        at exactly its flip time — the shared golden prefix is never
+        simulated per mutant — and runs only until its state
         *re-converges* with a later node's snapshot
-        (:meth:`~repro.core.snapshot.Snapshot.matches_live`): a flipped
-        bit that is overwritten, shifted out or resynchronised puts
-        the mutant back on the golden trajectory, so the rest of its
-        traces is spliced from golden sample data — bit-identical by
-        determinism — instead of simulated.  Mutants that never
-        re-converge run to ``t_end`` exactly like a scalar warm start.
+        (:meth:`~repro.core.snapshot.Snapshot.matches_live`); the tree
+        then splices in the golden tail, bit-identical by determinism.
+        Mutants that never re-converge run to ``t_end`` exactly like a
+        scalar warm start.
 
         With a run budget armed the whole batch falls back to scalar
         execution: budget ceilings are *per run call* over the restored
@@ -867,6 +761,7 @@ class CampaignRunner:
         counts.
         """
         warm = self.prepare_warm()
+        tree = warm["tree"]
         design = warm["design"]
         sim = design.sim
         faults = [(index, self.spec.faults[index]) for index in indices]
@@ -887,11 +782,10 @@ class CampaignRunner:
 
         walk_start = perf_counter()
         try:
-            nodes, info["branch_snapshots"] = self._golden_nodes(
-                warm, flip_times + self._horizon_times(flip_times)
+            nodes, info["branch_snapshots"] = tree.walk(
+                flip_times + self._horizon_times(flip_times)
             )
         except Exception as exc:
-            self._reinflate_golden(warm)
             LOGGER.warning(
                 "digital batch of %d mutants fell back to scalar "
                 "execution: %s", len(faults), exc,
@@ -902,90 +796,57 @@ class CampaignRunner:
 
         completed = []
         leftovers = []
-        try:
-            for position, t_flip in enumerate(flip_times):
-                node = nodes[position]
-                for index, fault in by_time[t_flip]:
-                    wall_start = perf_counter()
-                    events_before = sim.events_executed
-                    try:
-                        self._arm(sim)
-                        self._reinflate_golden(warm)
-                        sim.restore(node.snapshot)
-                        step_start = perf_counter()
-                        controller = InjectionController(
-                            sim, design.root, saboteurs=warm["saboteurs"]
-                        )
-                        with sim.injection_band():
-                            controller.apply(fault)
-                        converged = None
-                        for later in nodes[position + 1:]:
-                            sim.run(later.time, inclusive=False)
-                            if later.snapshot.matches_live(sim):
-                                converged = later
-                                break
-                        if converged is None:
-                            sim.run(self.spec.t_end)
-                        self._add_phase("restore", step_start - wall_start)
-                        self._add_phase("step", perf_counter() - step_start)
-                        if converged is not None:
-                            info["converged"] += 1
-                            probes = self._spliced_probes(
-                                design, warm, converged.snapshot
-                            )
-                        else:
-                            probes = {
-                                name: trace.clone()
-                                for name, trace in design.probes.items()
-                            }
-                        payload = (
-                            probes, {}, sim.events_executed - events_before
-                        )
-                        completed.append(
-                            (index, payload, perf_counter() - wall_start)
-                        )
-                    except Exception as exc:
-                        # One mutant's failure peels it to the scalar
-                        # path (budget/guard trips classify there);
-                        # the rest of the batch carries on.
-                        LOGGER.warning(
-                            "digital mutant %d peeled to scalar "
-                            "execution: %s", index, exc,
-                        )
-                        info["peeled"] += 1
-                        leftovers.append(index)
-                    finally:
-                        sim.budget = None
-        finally:
-            # Whatever state the last mutant left (possibly an
-            # early-out mid-window), hand the next consumer — scalar
-            # runs, other batches — restorable full-length traces.
-            self._reinflate_golden(warm)
+        for position, t_flip in enumerate(flip_times):
+            node = nodes[position]
+            for index, fault in by_time[t_flip]:
+                wall_start = perf_counter()
+                events_before = sim.events_executed
+                try:
+                    self._arm(sim)
+                    tree.restore(node)
+                    step_start = perf_counter()
+                    controller = InjectionController(
+                        sim, design.root, saboteurs=warm["saboteurs"]
+                    )
+                    with sim.injection_band():
+                        controller.apply(fault)
+                    converged = None
+                    for later in nodes[position + 1:]:
+                        sim.run(later.time, inclusive=False)
+                        if later.snapshot.matches_live(sim):
+                            converged = later
+                            break
+                    if converged is None:
+                        sim.run(self.spec.t_end)
+                    self._add_phase("restore", step_start - wall_start)
+                    self._add_phase("step", perf_counter() - step_start)
+                    if converged is not None:
+                        info["converged"] += 1
+                        probes = tree.splice(design.probes, converged)
+                    else:
+                        probes = {
+                            name: trace.clone()
+                            for name, trace in design.probes.items()
+                        }
+                    payload = (
+                        probes, {}, sim.events_executed - events_before
+                    )
+                    completed.append(
+                        (index, payload, perf_counter() - wall_start)
+                    )
+                except Exception as exc:
+                    # One mutant's failure peels it to the scalar path
+                    # (budget/guard trips classify there); the rest of
+                    # the batch carries on.
+                    LOGGER.warning(
+                        "digital mutant %d peeled to scalar execution: %s",
+                        index, exc,
+                    )
+                    info["peeled"] += 1
+                    leftovers.append(index)
+                finally:
+                    sim.budget = None
         return completed, leftovers, info
-
-    def _spliced_probes(self, design, warm, snapshot):
-        """Probe clones for a mutant that re-converged at ``snapshot``.
-
-        Each probe trace currently holds the mutant's samples up to
-        the convergence boundary; the tail is the golden sample data
-        beyond the *golden* trace length recorded in the convergence
-        snapshot (the two lengths may differ — a healed mutant
-        legitimately recorded extra toggles in its divergence window).
-        """
-        lengths = {
-            id(trace): length for trace, length in snapshot.trace_lengths
-        }
-        golden_by_id = warm["golden_by_id"]
-        probes = {}
-        for name, trace in design.probes.items():
-            dup = trace.clone()
-            times, values = golden_by_id[id(trace)]
-            cut = lengths[id(trace)]
-            dup._times.extend(times[cut:])
-            dup._values.extend(values[cut:])
-            dup._cache = None
-            probes[name] = dup
-        return probes
 
     def _batched_outcomes(self, pending, mode="auto"):
         """Outcome groups for batched execution.
@@ -1343,9 +1204,9 @@ class CampaignRunner:
             fork pool — and closes before the next is drawn, so the
             stored rows do not depend on the executor.
         :param margin: requested half-width of the pooled interval
-            (e.g. ``0.005`` = ±0.5%).  Required with ``sample`` unless
-            resuming a campaign whose store already holds a sampling
-            configuration.
+            (e.g. ``0.005`` = ±0.5%).  Required with ``sample``, refused
+            without it, also when resuming a campaign whose store
+            already holds a sampling configuration.
         :param confidence: interval confidence level (default 0.95).
         :param sample_seed: seed of the draw sequence; same seed (and
             faults/strata) -> row-identical campaign.
@@ -1353,20 +1214,14 @@ class CampaignRunner:
             :data:`~repro.campaign.sampling.STRATA_MODES` or a
             callable ``fault -> label``.
         :param chunk: draws per convergence-evaluation chunk (default
-            :data:`~repro.campaign.sampling.DEFAULT_CHUNK`).  Part of
-            the draw sequence: resume verifies it against the store.
+            :data:`~repro.campaign.sampling.DEFAULT_CHUNK`); refused
+            without ``sample``.  Part of the draw sequence: resume
+            verifies it against the store.
         """
-        if on_error not in ("raise", "collect"):
-            raise CampaignError(
-                f"on_error must be 'raise' or 'collect', got {on_error!r}"
-            )
-        if resume and store is None:
-            raise CampaignError("resume=True requires a store")
-        if sample and margin is None:
-            raise CampaignError(
-                "sampled campaigns need a margin (e.g. margin=0.005)"
-            )
-        batch_mode = normalize_batch_mode(batch)
+        batch_mode = check_run_options(
+            on_error=on_error, resume=resume, store=store, batch=batch,
+            sample=sample, margin=margin, chunk=chunk,
+        )
         batch = batch_mode != "off"
         if batch:
             # Batching is warm-start execution with a vectorized (or
@@ -1654,7 +1509,7 @@ class CampaignRunner:
             hits = sum(
                 1
                 for index in attempted
-                if self._restore_point(self.spec.faults[index])[0] > 0.0
+                if self._restore_point(self.spec.faults[index]).time > 0.0
             )
             result.execution["warm_hits"] = hits
             result.execution["warm_misses"] = len(attempted) - hits
@@ -1688,6 +1543,30 @@ class CampaignRunner:
             execution=result.execution,
         )
         return result
+
+
+def check_run_options(**options):
+    """Check ``options`` as :meth:`CampaignRunner.run` does.
+
+    An unknown keyword raises ``TypeError``, a value ``run()`` refuses
+    :class:`CampaignError`.  Returns the normalised batch mode.
+    """
+    bound = inspect.signature(CampaignRunner.run).bind(None, **options)
+    bound.apply_defaults()
+    opts = bound.arguments
+    if opts["on_error"] not in ("raise", "collect"):
+        raise CampaignError(
+            f"on_error must be 'raise' or 'collect', got {opts['on_error']!r}"
+        )
+    if opts["resume"] and opts["store"] is None:
+        raise CampaignError("resume=True requires a store")
+    if opts["sample"] and opts["margin"] is None:
+        raise CampaignError(
+            "sampled campaigns need a margin (e.g. margin=0.005)"
+        )
+    if not opts["sample"] and (opts["margin"], opts["chunk"]) != (None, None):
+        raise CampaignError("margin and chunk need sample=True")
+    return normalize_batch_mode(opts["batch"])
 
 
 def run_campaign(factory, spec, metric_hooks=(), progress=None, **options):

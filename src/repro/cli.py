@@ -203,20 +203,7 @@ def _write_observability(args):
 
 def cmd_campaign_run(args):
     """Run a fault-injection campaign from netlist + fault files."""
-    netlist = load_netlist(args.netlist)
-    faults = load_faults(args.faults)
-    if not netlist.outputs:
-        raise ReproError(
-            "netlist declares no outputs; campaigns need at least one"
-        )
-    spec = CampaignSpec(
-        name=args.name or netlist.name,
-        faults=faults,
-        t_end=parse_quantity(args.until, expect_unit="s"),
-        outputs=list(netlist.outputs),
-        analog_tolerance=args.analog_tolerance,
-        compare_from=args.compare_from,
-    )
+    netlist, spec = _build_spec(args)
 
     if args.trace:
         obs_tracer.reset()
@@ -562,6 +549,8 @@ def _shard_config(args):
 def _sampling_config(args):
     """Coordinator-side sampling config from the CLI flags, or None."""
     if not getattr(args, "sample", False):
+        if getattr(args, "margin", None) is not None:
+            raise ReproError("--margin needs --sample")
         return None
     if args.margin is None:
         raise ReproError("--sample needs --margin (e.g. --margin 0.005)")
@@ -571,6 +560,13 @@ def _sampling_config(args):
         "seed": args.sample_seed,
         "strata": args.strata,
     }
+
+
+def _job_line(job_id, status):
+    """The one-line verdict ``serve`` prints for a finished job."""
+    return (f"job {job_id} ({status.get('name')}): {status['state']}, "
+            f"{status.get('merged', 0)}/{status.get('shards', '?')} shards "
+            f"merged, {status.get('rows', 0)} rows")
 
 
 def cmd_campaign_serve(args):
@@ -615,14 +611,7 @@ def cmd_campaign_serve(args):
                 try:
                     for job_id in resumed:
                         status = coordinator.wait(job_id)
-                        print(
-                            f"job {job_id} ({status.get('name')}): "
-                            f"{status['state']}, "
-                            f"{status.get('merged', 0)}/"
-                            f"{status.get('shards', '?')} shards merged, "
-                            f"{status.get('rows', 0)} rows",
-                            file=sys.stderr,
-                        )
+                        print(_job_line(job_id, status), file=sys.stderr)
                         ok = ok and status["state"] == "complete"
                 except KeyboardInterrupt:
                     return 3
@@ -648,13 +637,7 @@ def cmd_campaign_serve(args):
                 status = coordinator.wait(job_id)
             except KeyboardInterrupt:
                 status = coordinator.job_status(job_id)
-            print(
-                f"job {job_id} ({status.get('name')}): "
-                f"{status['state']}, "
-                f"{status.get('merged', 0)}/{status.get('shards', '?')} "
-                f"shards merged, {status.get('rows', 0)} rows",
-                file=sys.stderr,
-            )
+            print(_job_line(job_id, status), file=sys.stderr)
             return 0 if status["state"] == "complete" else 3
         try:
             coordinator.serve()
@@ -695,6 +678,7 @@ def cmd_campaign_submit(args):
     from .store.serialize import spec_to_dict
 
     netlist, spec = _build_spec(args)
+    sampling = _sampling_config(args)
     host, port = parse_address(args.connect)
     conn = connect(host, port)
     try:
@@ -708,8 +692,7 @@ def cmd_campaign_submit(args):
         conn.send(
             "submit", spec=spec_to_dict(spec),
             netlist=netlist.to_dict() if args.ship_netlist else None,
-            config=_shard_config(args),
-            sampling=_sampling_config(args),
+            config=_shard_config(args), sampling=sampling,
         )
         reply = conn.recv(timeout=30.0)
         if reply is None or reply.get("frame") != "job":
@@ -740,6 +723,17 @@ def cmd_campaign_submit(args):
                 return 0 if status["state"] == "complete" else 3
     finally:
         conn.close()
+
+
+def _add_spec_arguments(p, required=True):
+    """Netlist, faults and spec options shared by run, serve and submit."""
+    nargs = {} if required else {"nargs": "?", "default": None}
+    p.add_argument("netlist", **nargs)
+    p.add_argument("faults", help="JSON fault list file", **nargs)
+    p.add_argument("--until", default="1us")
+    p.add_argument("--name", default=None)
+    p.add_argument("--analog-tolerance", type=float, default=0.01)
+    p.add_argument("--compare-from", type=float, default=None)
 
 
 def _add_sampling_options(p, chunk=False):
@@ -799,12 +793,7 @@ def build_parser():
     camp_sub = p_camp.add_subparsers(dest="campaign_command", required=True)
 
     p_run = camp_sub.add_parser("run", help="run an injection campaign")
-    p_run.add_argument("netlist")
-    p_run.add_argument("faults", help="JSON fault list file")
-    p_run.add_argument("--until", default="1us")
-    p_run.add_argument("--name", default=None)
-    p_run.add_argument("--analog-tolerance", type=float, default=0.01)
-    p_run.add_argument("--compare-from", type=float, default=None)
+    _add_spec_arguments(p_run)
     p_run.add_argument("--report", help="also write the report to a file")
     p_run.add_argument("--csv", help="write per-run results as CSV")
     p_run.add_argument("--listing-limit", type=int, default=20)
@@ -922,14 +911,8 @@ def build_parser():
     p_report.set_defaults(func=cmd_campaign_report)
 
     def _add_spec_options(p, required=True):
-        """Netlist/faults/spec options shared by serve and submit."""
-        nargs = {} if required else {"nargs": "?", "default": None}
-        p.add_argument("netlist", **nargs)
-        p.add_argument("faults", help="JSON fault list file", **nargs)
-        p.add_argument("--until", default="1us")
-        p.add_argument("--name", default=None)
-        p.add_argument("--analog-tolerance", type=float, default=0.01)
-        p.add_argument("--compare-from", type=float, default=None)
+        """Spec and worker options shared by serve and submit."""
+        _add_spec_arguments(p, required)
         p.add_argument("--warm-start", action="store_true",
                        help="workers restore golden checkpoints instead "
                             "of re-simulating each fault from t=0")

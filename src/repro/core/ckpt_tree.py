@@ -1,4 +1,4 @@
-"""Checkpoint tree: the golden restore points campaigns look up by time.
+"""Checkpoint tree: the golden restore points and the golden record.
 
 Warm-started campaigns keep a flat list of golden snapshots; batched
 execution generalises that into a *tree*:
@@ -16,18 +16,21 @@ execution generalises that into a *tree*:
 A golden state at time *t* depends on *t* alone, so branch nodes are
 **memoised** rather than rebuilt per batch.  :meth:`CheckpointTree.golden_at`
 returns the node held at exactly *t* — trunk or memo — or else the
-latest node held before *t*; the caller walks the golden trajectory
-forward from that node and hands the state at *t* to
-:meth:`CheckpointTree.memoise`.  The memo keeps at most
-``max_branches`` nodes (campaigns pass their ``max_checkpoints``),
-evicting the least recently used, so peak memory is the cap plus the
-nodes of the one batch in flight.
+latest node held before *t*; :meth:`CheckpointTree.walk` runs the golden
+trajectory forward from there and memoises what it captures.  The memo
+keeps at most ``max_branches`` nodes (campaigns pass their
+``max_checkpoints``), evicting the least recently used, so peak memory
+is the cap plus the nodes of the one batch in flight.
 
-Branch snapshots are cheap to keep live: a :class:`Snapshot` stores
-trace *lengths*, not sample data, so its footprint is the design's
-state vectors — tens of kilobytes for the digital blocks this path
-serves.  The tree tracks how many were created and the peak live count
-so campaign observability can report the real memory shape.
+The tree also keeps every kernel trace's golden samples:
+:meth:`CheckpointTree.restore` starts each run from exactly the golden
+prefix, whatever the previous run left in the traces, and
+:meth:`CheckpointTree.splice` completes a re-converged mutant with the
+golden tail.  Snapshots store trace *lengths*, not sample data, so a
+branch snapshot's footprint is the design's state vectors — tens of
+kilobytes for the digital blocks this path serves.  The tree tracks
+how many were created and the peak live count so campaign
+observability can report the real memory shape.
 """
 
 from __future__ import annotations
@@ -89,6 +92,7 @@ class CheckpointTree:
         self.max_branches = max_branches
         self._memo = OrderedDict()  # time -> branch node, least recent first
         self._memo_times = []       # the memo's times, ascending
+        self._golden = {}           # trace -> golden (times, values)
         self.branches_created = 0
         self.branches_live = 0
         self.peak_live = 0
@@ -106,6 +110,7 @@ class CheckpointTree:
         self._trunk_times = []
         self._memo.clear()
         self._memo_times = []
+        self._golden = {}
         self.branches_live = 0
         parent = None
         for time, snapshot in checkpoints:
@@ -131,6 +136,59 @@ class CheckpointTree:
             raise SimulationError("checkpoint tree has no trunk")
         index = bisect_right(self._trunk_times, time)
         return self._trunk[max(index - 1, 0)]
+
+    # -- the golden record ---------------------------------------------------
+
+    def keep_golden(self):
+        """Keep every trace's samples as the golden record, after the
+        golden run: the latest trunk node lists every trace."""
+        self._golden = {
+            trace: trace.copy_data()
+            for trace, _length in self._trunk[-1].snapshot.trace_lengths
+        }
+
+    def restore(self, node):
+        """Rewind to ``node`` through ``Simulator.restore``; each trace
+        then holds the golden record's first *n* samples, *n* being the
+        length the node recorded."""
+        snapshot = node.snapshot
+        snapshot.sim.restore(snapshot)
+        for trace, length in snapshot.trace_lengths:
+            trace.load_prefix(self._golden[trace], length)
+
+    def walk(self, times):
+        """Golden nodes at exactly ``times`` (ascending), and how many
+        were captured: a time not held is reached by an unarmed golden
+        run from the latest node held before it (restored unless the
+        simulator already sits there), and memoised."""
+        sim = self.root.snapshot.sim
+        sim.budget = None
+        sim.analog.recorder = None
+        nodes = []
+        captured = 0
+        here = None  # the held node the simulator sits on
+        for t in times:
+            node = self.golden_at(t)
+            if node.time != t:
+                if node is not here:
+                    self.restore(node)
+                sim.run(t, inclusive=False)
+                node = here = self.memoise(t, sim.snapshot())
+                captured += 1
+            nodes.append(node)
+        return nodes, captured
+
+    def splice(self, probes, node):
+        """Copies of the live ``probes`` of a mutant that re-converged at
+        ``node``, each continued with the golden samples past the length
+        the node recorded (the mutant's own length may differ)."""
+        lengths = dict(node.snapshot.trace_lengths)
+        spliced = {name: trace.clone() for name, trace in probes.items()}
+        for name, trace in probes.items():
+            times, values = self._golden[trace]
+            cut = lengths[trace]
+            spliced[name].extend(times[cut:], values[cut:])
+        return spliced
 
     # -- golden lookup -----------------------------------------------------
 

@@ -179,7 +179,7 @@ class Ensemble:
 
     Usage (what the campaign runner does per batch)::
 
-        sim.restore(checkpoint)
+        tree.restore(node)  # the batch's checkpoint node
         ens = Ensemble(sim, k, guard=guard)
         for pos, fault in enumerate(batch):
             ens.add_injection(pos, saboteur_for(fault), fault.transient,
@@ -392,9 +392,7 @@ class Ensemble:
         dup = trace.clone()
         buf = self._trace_buffers.get(id(trace))
         if buf is not None:
-            dup._times.extend(buf.times.view())
-            dup._values.extend(buf.column(pos))
-            dup._cache = None
+            dup.extend(buf.times.view(), buf.column(pos))
         return dup
 
     def __repr__(self):

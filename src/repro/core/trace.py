@@ -268,8 +268,7 @@ class Trace:
     def from_arrays(cls, name, times, values, interp=LINEAR):
         """Build a trace from parallel arrays (copied)."""
         trace = cls(name, interp=interp)
-        trace._times.extend(times)
-        trace._values.extend(values)
+        trace.extend(times, values)
         if len(trace._times) != len(trace._values):
             raise MeasurementError("times and values must have equal length")
         tb = trace._times
@@ -378,6 +377,24 @@ class Trace:
         dup._times.load_from(self._times)
         dup._values.load_from(self._values)
         return dup
+
+    def extend(self, times, values):
+        """Append many samples at once (bulk copy, no ordering check)."""
+        self._times.extend(times)
+        self._values.extend(values)
+        self._cache = None
+
+    def copy_data(self):
+        """The samples as an independent ``(times, values)`` capture."""
+        return self._times.copy_data(), self._values.copy_data()
+
+    def load_prefix(self, data, n):
+        """Become the first ``n`` samples of a :meth:`copy_data` capture,
+        in place (the backing buffers survive, as in :meth:`truncate`)."""
+        times, values = data
+        self._times.load_prefix(times, n)
+        self._values.load_prefix(values, n)
+        self._cache = None
 
     # -- interpolation ------------------------------------------------------
 

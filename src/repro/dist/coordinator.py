@@ -50,6 +50,7 @@ local resume against a drifted golden).
 
 from __future__ import annotations
 
+import json
 import logging
 import selectors
 import socket
@@ -57,8 +58,9 @@ import threading
 from collections import deque
 from time import monotonic
 
+from ..campaign.runner import check_run_options
 from ..campaign.sampling import build_plan, row_outcome, stored_outcomes
-from ..core.errors import ReproError
+from ..core.errors import CampaignError, ReproError
 from ..obs import journal as _journal
 from ..store.serialize import fault_key, spec_from_dict, spec_to_dict
 from ..store.sharded import ShardedCampaignStore
@@ -97,9 +99,32 @@ MAX_FRAME_REJECTS = 8
 #: to hang up before it closes their sockets anyway.
 DRAIN_GRACE_S = 2.0
 
+#: ``run()`` options the fleet sets itself; sampling goes in ``sampling=``.
+FLEET_OPTIONS = frozenset((
+    "store", "resume", "retry_quarantined", "sample", "margin",
+    "confidence", "sample_seed", "strata", "chunk",
+))
+
 
 class CoordinatorError(ReproError):
     """Raised for invalid coordinator usage or aborted jobs."""
+
+
+def check_config(config):
+    """Refuse an execution config that workers could not pass to
+    ``run()``: not JSON, refused by ``run()``, or naming a
+    :data:`FLEET_OPTIONS` key."""
+    if config is None:
+        return
+    try:
+        owned = sorted(FLEET_OPTIONS.intersection(config))
+        if owned:
+            raise CoordinatorError(f"config keys {owned} are the fleet's "
+                                   "own (sampling options go in sampling=)")
+        json.dumps(config)
+        check_run_options(**config)
+    except (TypeError, ValueError, CampaignError) as exc:
+        raise CoordinatorError(f"bad execution config: {exc}") from exc
 
 
 class _Peer:
@@ -294,12 +319,14 @@ class Coordinator:
             shards.
         :raises ShardError: for a spec without faults.
         :raises CampaignError: for a sampling config without a margin.
+        :raises CoordinatorError: for a config :func:`check_config` refuses.
         """
         with self._lock:
             if not spec.faults:
                 raise ShardError(
                     f"campaign {spec.name!r} has no faults to shard"
                 )
+            check_config(config)
             if sampling is not None:
                 sampling = dict(sampling)
             # One chunk is one shard, so a distributed sampled campaign
@@ -337,14 +364,6 @@ class Coordinator:
             )
             self._feed_waiting_workers()
             return job_id
-
-    def submit_dict(self, spec_dict, netlist=None, config=None,
-                    sampling=None):
-        """Submit from JSON payloads (the ``submit`` frame path)."""
-        return self.submit(
-            spec_from_dict(spec_dict), netlist=netlist, config=config,
-            sampling=sampling,
-        )
 
     def resume(self):
         """Rebuild every unfinished job from the store; returns their ids.
@@ -1274,11 +1293,14 @@ class Coordinator:
     def _on_submit(self, peer, frame):
         if peer.role != "client":
             raise ProtocolError("only clients submit jobs")
-        job_id = self.submit_dict(
-            frame["spec"], netlist=frame.get("netlist"),
-            config=frame.get("config"),
-            sampling=frame.get("sampling"),
-        )
+        try:
+            job_id = self.submit(
+                spec_from_dict(frame["spec"]), netlist=frame.get("netlist"),
+                config=frame.get("config"), sampling=frame.get("sampling"),
+            )
+        except ReproError as exc:  # a refused job, not a coordinator fault
+            self._send(peer, "error", token=None, message=str(exc))
+            return
         job = self._jobs[job_id]
         self._send(
             peer, "job", job=job_id, name=job.name,

@@ -124,6 +124,25 @@ class TestSampledRun:
             assert store.status() == []
 
 
+    @pytest.mark.parametrize("option", [{"margin": 0.1}, {"chunk": 8}])
+    def test_margin_or_chunk_without_sample_refused(self, tmp_path, option):
+        """Before, the option was dropped and every fault ran."""
+        with CampaignStore(tmp_path / "c.sqlite") as store:
+            with pytest.raises(CampaignError, match="need sample=True"):
+                run_campaign(factory, make_spec(), on_error="collect",
+                             store=store, **option)
+            assert store.status() == []
+
+    def test_margin_without_sample_refused_on_resume(self, tmp_path):
+        """A resume continues the stored sampling configuration; a
+        margin passed beside it would be silently ignored."""
+        with CampaignStore(tmp_path / "c.sqlite") as store:
+            run_sampled(store)
+            with pytest.raises(CampaignError, match="need sample=True"):
+                run_campaign(factory, make_spec(), resume=True,
+                             on_error="collect", store=store, margin=0.01)
+
+
 class TestExhaustiveReportInterval:
     def test_wilson_line_without_sampling(self):
         spec = make_spec("exhaustive")

@@ -27,13 +27,16 @@ import pytest
 
 from repro.campaign import run_campaign
 from repro.campaign.sampling import StratifiedSampler
+from repro.campaign.supervisor import RetryPolicy
 from repro.dist import (
     Coordinator,
+    CoordinatorError,
     Shard,
     ShardError,
     connect,
     execute_shard,
     plan_shards,
+    run_distributed,
     spawn_local_workers,
 )
 from repro.dist import coordinator as coordinator_module
@@ -609,6 +612,27 @@ def write_submitted_job(store_path, spec, shard_size, sampling=None):
         yield ShardedCampaignStore(store, campaign_id)
 
 
+def assert_nothing_stored(path):
+    with CampaignStore(str(path)) as store:
+        assert store.status() == []
+        assert store.job_rows() == []
+
+
+#: Execution configs a fleet job refuses, and a word of each reason.
+BAD_CONFIGS = [
+    ({"warm_strat": True}, "warm_strat"),
+    ({"retry": RetryPolicy(attempts=3)}, "JSON serializable"),
+    ({"batch": "sideways"}, "batch must be"),
+    ({"on_error": "ignore"}, "on_error"),
+    ({"store": "other.db"}, "sampling="),
+    ({"resume": True}, "sampling="),
+    ({"retry_quarantined": True}, "sampling="),
+    ({"margin": 0.1}, "sampling="),
+    ({"sample": True, "margin": 0.1}, "sampling="),
+    (["warm_start"], "must be a mapping"),
+]
+
+
 class TestSubmit:
     def test_empty_spec_rejected(self, tmp_path):
         spec = make_spec()
@@ -619,6 +643,57 @@ class TestSubmit:
                 coordinator.submit(spec)
         finally:
             coordinator.stop()
+
+    @pytest.mark.parametrize("config, reason", BAD_CONFIGS)
+    def test_bad_config_refused_before_anything_is_stored(
+        self, tmp_path, config, reason
+    ):
+        coordinator = Coordinator(str(tmp_path / "dist.db"))
+        try:
+            with pytest.raises(CoordinatorError, match=reason):
+                coordinator.submit(make_spec(), config=config)
+        finally:
+            coordinator.stop()
+        assert_nothing_stored(tmp_path / "dist.db")
+
+    @needs_fork
+    def test_run_distributed_refuses_before_recording(self, tmp_path):
+        """A refused config leaves no campaign behind, so a corrected
+        rerun under the same name can start."""
+        path = tmp_path / "dist.db"
+        with pytest.raises(CoordinatorError, match="warm_strat"):
+            run_distributed(factory, make_spec(), store_path=str(path),
+                            config={"warm_strat": True})
+        assert_nothing_stored(path)
+
+    @pytest.mark.parametrize("fields, reason", [
+        ({"config": {"warm_strat": True}}, "warm_strat"),
+        ({"config": {"margin": 0.1}}, "sampling="),
+        ({"sampling": {"confidence": 0.9}}, "need a margin"),
+        ({"spec": "empty"}, "fault"),
+    ])
+    def test_client_submit_gets_the_reason(self, tmp_path, fields, reason):
+        spec = make_spec()
+        if fields.pop("spec", None) == "empty":
+            spec.faults = []
+        coordinator = Coordinator(str(tmp_path / "dist.db"),
+                                  shard_size=SHARD_SIZE)
+        try:
+            coordinator.start()
+            conn = connect(*coordinator.address)
+            try:
+                conn.send("hello", role="client", name="test-client")
+                assert conn.recv(timeout=10)["frame"] == "welcome"
+                conn.send("submit", spec=spec_to_dict(spec), **fields)
+                reply = conn.recv(timeout=10)
+            finally:
+                conn.close()
+        finally:
+            coordinator.stop()
+        assert reply["frame"] == "error"
+        assert reason in reply["message"]
+        assert "internal" not in reply["message"]
+        assert_nothing_stored(tmp_path / "dist.db")
 
 
 class TestHelloReaping:
