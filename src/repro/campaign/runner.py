@@ -31,12 +31,15 @@ current-pulse saboteurs are pre-created before the golden run so every
 run — golden and faulty — evaluates the identical block set.
 
 Every campaign is one pipeline: a chunk plan
-(:func:`~repro.campaign.sampling.build_plan`) hands out the faults, an
-executor — serial, batched or the fork pool — runs them, and yields
-**outcome groups**: one scalar run, or one batch.  The parent
-classifies each group, renders its store rows once, and commits the
-group as one transaction.  Every scalar run, serial or forked, is one
-call of the fault-attempt body :meth:`CampaignRunner._attempt`.
+(:func:`~repro.campaign.sampling.build_plan`) hands out the faults;
+each chunk's faults become **tasks** — every planned batch, then every
+other fault — and one placement
+(:class:`~repro.campaign.supervisor.WorkerSupervisor`), in the
+campaign process or on forked workers, runs every task through
+:meth:`CampaignRunner._run_task`.  Tasks yield **outcome groups**: one
+scalar run, or one batch's runs.  The parent classifies each group,
+renders its store rows once, and commits the group as one
+transaction.
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ import inspect
 import logging
 import os
 from dataclasses import dataclass, field
-from functools import partial
-from time import perf_counter, sleep
+from time import perf_counter
 
 from ..core.budget import NumericalGuard, RunBudget
 from ..core.ckpt_tree import CheckpointTree
@@ -77,7 +79,13 @@ from .compare import ComparisonGridCache, compare_probe_sets
 from .faultlist import batch_key, digital_batch_key, schedule_time
 from .results import CampaignResult, CampaignRunError, FaultResult
 from .sampling import build_plan, stored_outcomes
-from .supervisor import RetryPolicy, WorkerSupervisor, set_worker_phase
+from .supervisor import (
+    WORKER_PHASE,
+    Batch,
+    RetryPolicy,
+    WorkerSupervisor,
+    fork_context,
+)
 
 LOGGER = logging.getLogger("repro.campaign")
 
@@ -156,7 +164,8 @@ class CampaignRunner:
         ``(design, fault) -> dict`` evaluated after each faulty run;
         their merged results land in :attr:`FaultResult.metrics`.
     :param progress: optional callable ``(index, total, fault)`` for
-        progress reporting.
+        progress reporting, called as each run finishes: ``index``
+        runs finished before it, of ``total`` pending faults.
     """
 
     def __init__(self, factory, spec, metric_hooks=(), progress=None):
@@ -291,11 +300,13 @@ class CampaignRunner:
         path = postmortem_path(self._postmortem_dir, index)
         return path if os.path.exists(path) else None
 
-    def _build_worker_monitor(self, store, campaign_id):
-        """The supervisor monitor that turns worker lifecycle events
-        into journal events, store worker rows (on spawn, heartbeat
-        and death) and, for workers that die without reporting,
-        parent-written post-mortems."""
+    def _build_monitor(self, store, campaign_id):
+        """The placement monitor: each fault attempt's start becomes a
+        ``run_started`` journal event and each retry a ``retry`` event;
+        on the pool, worker lifecycle events become journal events,
+        store worker rows (on spawn, heartbeat and death) and, for
+        workers that die without reporting, parent-written
+        post-mortems."""
 
         def monitor(info):
             event = info.get("event")
@@ -306,13 +317,15 @@ class CampaignRunner:
                 if store is not None:
                     store.record_worker(campaign_id, pid, "alive",
                                         phase="idle")
-            elif event == "task":
-                # Journal only: the worker row follows at the next
+            elif event == "task" and not isinstance(info["task"], Batch):
+                # Journal only: a worker's row follows at its next
                 # heartbeat, at most one heartbeat interval later.
+                index = info["task"]
+                worker = {} if pid is None else {"worker_pid": pid}
                 _journal.emit(
                     "run_started", index=index,
                     fault=self.spec.faults[index].describe(),
-                    attempt=info.get("attempt"), worker_pid=pid,
+                    attempt=info.get("attempt"), **worker,
                 )
             elif event == "heartbeat":
                 _journal.emit(
@@ -517,12 +530,12 @@ class CampaignRunner:
         node = self._restore_point(fault)
 
         events_before = sim.events_executed
-        set_worker_phase("restore")
+        WORKER_PHASE["phase"] = "restore"
         restore_start = perf_counter()
         warm["tree"].restore(node)
         step_start = perf_counter()
         _journal.emit("checkpoint_restored", t_ckpt=node.time)
-        set_worker_phase("simulate")
+        WORKER_PHASE["phase"] = "simulate"
         controller = InjectionController(
             sim, design.root, saboteurs=warm["saboteurs"]
         )
@@ -559,7 +572,8 @@ class CampaignRunner:
         Per-run metric hooks need a live per-variant design, which a
         batch cannot provide, so campaigns with hooks stay entirely
         scalar.  Returns ``(batches, scalar_indices)`` where each
-        batch is ``(kind, t_ckpt, indices)``; the plan is fully
+        batch is a :class:`~repro.campaign.supervisor.Batch`; the
+        plan is fully
         deterministic — groups are keyed by checkpoint time and
         ordered by (checkpoint, kind, first index), never by dict/hash
         order — so store row order and resume behaviour are stable
@@ -591,7 +605,7 @@ class CampaignRunner:
             for t_ckpt in sorted(groups):
                 group = groups[t_ckpt]
                 if len(group) > 1:
-                    batches.append((kind, t_ckpt, group))
+                    batches.append(Batch(kind, t_ckpt, group))
                 else:
                     scalar.extend(group)
         batches.sort(key=lambda item: (item[1], item[0], item[2][0]))
@@ -848,67 +862,6 @@ class CampaignRunner:
                     sim.budget = None
         return completed, leftovers, info
 
-    def _batched_outcomes(self, pending, mode="auto"):
-        """Outcome groups for batched execution.
-
-        Batches run first — analog ensembles and digital branch walks
-        interleaved in deterministic plan order — each yielding its
-        completed runs as one group (a batch with none yields nothing).
-        Their peeled variants and every unbatchable fault then drain
-        through :meth:`_serial_outcomes`, one group per fault (same
-        retry/supervision semantics).
-        """
-        registry = _metrics.REGISTRY
-        stats = self._batch_stats
-        batches, scalar = self._plan_batches(pending, mode)
-        for position, (kind, t_ckpt, indices) in enumerate(batches):
-            if self.progress is not None:
-                self.progress(
-                    position, len(batches), self.spec.faults[indices[0]]
-                )
-            _journal.emit(
-                "batch_planned", kind=kind, size=len(indices),
-                t_ckpt=t_ckpt, position=position, batches=len(batches),
-            )
-            with _tracer.TRACER.span(
-                "campaign.batch", kind=kind, size=len(indices),
-                t_ckpt=t_ckpt,
-            ):
-                if kind == "digital":
-                    completed, leftovers, info = self.run_batch_digital(
-                        indices
-                    )
-                else:
-                    completed, leftovers, info = self.run_batch_warm(indices)
-            stats["batches"] += 1
-            stats[f"{kind}_batches"] += 1
-            stats["batched_runs"] += len(completed)
-            stats["peeled"] += info["peeled"]
-            stats["converged"] += info.get("converged", 0)
-            stats["branch_snapshots"] += info.get("branch_snapshots", 0)
-            registry.inc("campaign.batch.count")
-            registry.inc(f"campaign.batch.{kind}")
-            registry.observe("campaign.batch.size", len(indices))
-            if info["peeled"]:
-                registry.inc("campaign.batch.peeled", info["peeled"])
-            if info.get("converged"):
-                registry.inc("campaign.batch.converged", info["converged"])
-            if info["fallback"]:
-                stats["fallbacks"] += 1
-                registry.inc("campaign.batch.fallback")
-            registry.inc("campaign.runs.batched", len(completed))
-            if completed:
-                yield [
-                    (index, True, payload, wall_s, 1)
-                    for index, payload, wall_s in completed
-                ]
-            scalar.extend(leftovers)
-        remaining = sorted(scalar)
-        stats["scalar_runs"] += len(remaining)
-        if remaining:
-            registry.inc("campaign.runs.scalar", len(remaining))
-        yield from self._serial_outcomes(remaining)
-
     # -- the campaign -----------------------------------------------------------
 
     def _evaluate(self, golden_probes, fault, faulty_probes, metrics):
@@ -930,130 +883,121 @@ class CampaignRunner:
             metrics=metrics,
         )
 
-    def _attempt(self, index, attempt=None):
+    def _attempt(self, index):
         """Attempt fault ``index`` once: the one fault-attempt body.
 
         Warm campaigns restore a golden checkpoint, cold ones rebuild
-        the design.  Returns ``(index, ok, payload, wall_s)``: on
-        success ``payload`` is ``(probes, metrics, events)``; on
-        failure it is ``(exception, status)``, the status classified
-        and the flight recorder dumped from the original exception.
-        :meth:`_serial_outcomes` calls it in-process and adds retries;
-        the fork pool calls it in its workers, so only picklable data
-        (traces, metric dicts, counters) crosses back.
+        the design, under one ``campaign.fault_run`` span.  Returns
+        ``(index, ok, payload, wall_s)``: on success ``payload`` is
+        ``(probes, metrics, events)``; on failure it is ``(exception,
+        status)``, the status classified and the flight recorder
+        dumped from the original exception, with the attempt number
+        the placement runs (:data:`~repro.campaign.supervisor.WORKER_PHASE`).
         """
         fault = self.spec.faults[index]
+        attempt = WORKER_PHASE["attempt"]
         wall_start = perf_counter()
-        try:
-            if self._warm_start:
-                payload = self.run_fault_warm(fault)
-            else:
-                design, _controller = self.run_fault(fault)
-                metrics = {}
-                for hook in self.metric_hooks:
-                    metrics.update(hook(design, fault))
-                payload = (design.probes, metrics, design.sim.events_executed)
-        except Exception as exc:
-            status = classify_failure(exc)
-            self._dump_postmortem(index, fault, status, exc, attempt)
-            return index, False, (exc, status), perf_counter() - wall_start
+        with _tracer.TRACER.span(
+            "campaign.fault_run", index=index, fault=fault.describe(),
+            attempt=attempt,
+        ) as span:
+            try:
+                if self._warm_start:
+                    payload = self.run_fault_warm(fault)
+                else:
+                    design, _controller = self.run_fault(fault)
+                    metrics = {}
+                    for hook in self.metric_hooks:
+                        metrics.update(hook(design, fault))
+                    payload = (
+                        design.probes, metrics, design.sim.events_executed
+                    )
+            except Exception as exc:
+                span.annotate(error=type(exc).__name__)
+                status = classify_failure(exc)
+                self._dump_postmortem(index, fault, status, exc, attempt)
+                return index, False, (exc, status), perf_counter() - wall_start
         return index, True, payload, perf_counter() - wall_start
 
-    @staticmethod
-    def _fork_context():
-        """The ``fork`` multiprocessing context, or None when missing.
+    def _run_task(self, task):
+        """The placement body: one attempt of one fault
+        (:meth:`_attempt`), or one batch, whose payload is
+        :meth:`run_batch_digital`'s or :meth:`run_batch_warm`'s.  It
+        may run in a forked worker, so only picklable data (traces,
+        metric dicts, counters) comes back."""
+        if not isinstance(task, Batch):
+            return self._attempt(task)
+        run = (self.run_batch_digital if task.kind == "digital"
+               else self.run_batch_warm)
+        with _tracer.TRACER.span(
+            "campaign.batch", kind=task.kind, size=len(task.indices),
+            t_ckpt=task.t_ckpt,
+        ):
+            start = perf_counter()
+            payload = run(task.indices)
+        return task, True, payload, perf_counter() - start
 
-        Workers inherit the runner (and warm state) by fork;
-        ``spawn``/``forkserver`` cannot reproduce that, so platforms
-        without ``fork`` degrade gracefully to serial execution (the
-        caller logs the downgrade) instead of failing the campaign.
-        """
-        import multiprocessing
-
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:
-            return None
+    #: The ``fork`` context the pool needs, or None (degrades to serial).
+    _fork_context = staticmethod(fork_context)
 
     # -- outcome streams ---------------------------------------------------------
 
-    def _serial_outcomes(self, pending):
-        """One group per fault: ``[(index, ok, payload, wall_s, attempts)]``.
-
-        Each fault runs through :meth:`_attempt` (``payload`` as
-        there); failed attempts are retried under the runner's retry
-        policy before the terminal outcome is yielded.
+    def _chunk_outcomes(self, pending, place):
+        """Outcome groups of one chunk's pending faults, run by ``place``
+        in two passes.  First every planned batch, in plan order, each
+        yielding its completed runs as one group (a batch with none
+        yields nothing); a batch whose worker died falls back whole,
+        as a batch that fails in process does.  Then the scalar pass:
+        every unbatchable fault plus the batches' leftovers, one group
+        per fault.
         """
-        tracer = _tracer.TRACER
-        retry = self._retry
-        for position, index in enumerate(pending):
-            fault = self.spec.faults[index]
-            if self.progress is not None:
-                self.progress(position, len(pending), fault)
-            attempt = 0
-            while True:
-                attempt += 1
-                _journal.emit(
-                    "run_started", index=index, fault=fault.describe(),
-                    attempt=attempt,
-                )
-                with tracer.span(
-                    "campaign.fault_run", index=index,
-                    fault=fault.describe(), attempt=attempt,
-                ) as span:
-                    _index, ok, payload, wall_s = self._attempt(
-                        index, attempt
-                    )
-                    if not ok:
-                        span.annotate(error=type(payload[0]).__name__)
-                if ok or retry is None or attempt >= retry.attempts:
-                    break
-                _metrics.REGISTRY.inc("campaign.retries")
-                _journal.emit(
-                    "retry", index=index, attempt=attempt,
-                    delay_s=retry.delay(attempt), status=payload[1],
-                )
-                sleep(retry.delay(attempt))
-            yield [(index, ok, payload, wall_s, attempt)]
-
-    def _parallel_outcomes(self, pending, workers, context, monitor):
-        """Supervised worker outcomes, one group per fault, as completed.
-
-        Workers are forked (inheriting the factory, hooks — and, warm,
-        the golden design plus checkpoints) and each runs
-        :meth:`_attempt`.  They are individually supervised: a dead
-        worker is detected, attributed to the fault it was running
-        and replaced; a worker that blows the per-fault deadline is
-        killed.  Outcomes stream in *completion* order (the consumer
-        re-sorts by index), so the parent classifies and persists each
-        run while later runs are still simulating, and an interrupt
-        loses at most the results still in flight.
-        """
-        supervisor = WorkerSupervisor(
-            context,
-            self._attempt,
-            workers,
-            retry=self._retry,
-            deadline_s=(
-                self._budget.max_wall_s if self._budget is not None else None
-            ),
-            monitor=monitor,
-        )
-        for position, outcome in enumerate(supervisor.outcomes(pending)):
-            if self.progress is not None:
-                self.progress(
-                    position, len(pending), self.spec.faults[outcome[0]]
-                )
+        registry = _metrics.REGISTRY
+        stats = self._batch_stats
+        batches, scalar = self._plan_batches(pending, stats["mode"])
+        for position, batch in enumerate(batches):
+            _journal.emit(
+                "batch_planned", kind=batch.kind, size=len(batch.indices),
+                t_ckpt=batch.t_ckpt, position=position, batches=len(batches),
+            )
+        for batch, ok, payload, _wall_s, _attempts in place(batches):
+            completed, leftovers, info = payload if ok else (
+                [], list(batch.indices), {"peeled": 0, "fallback": True}
+            )
+            stats["batches"] += 1
+            stats[f"{batch.kind}_batches"] += 1
+            stats["batched_runs"] += len(completed)
+            stats["fallbacks"] += info["fallback"]
+            for key in ("peeled", "converged", "branch_snapshots"):
+                stats[key] += info.get(key, 0)
+            registry.inc("campaign.batch.count")
+            registry.inc(f"campaign.batch.{batch.kind}")
+            registry.observe("campaign.batch.size", len(batch.indices))
+            for key in ("peeled", "converged", "fallback"):
+                if info.get(key):
+                    registry.inc(f"campaign.batch.{key}", int(info[key]))
+            registry.inc("campaign.runs.batched", len(completed))
+            if completed:
+                yield [
+                    (index, True, run, wall_s, 1)
+                    for index, run, wall_s in completed
+                ]
+            scalar.extend(leftovers)
+        scalar.sort()
+        stats["scalar_runs"] += len(scalar)
+        if scalar:
+            registry.inc("campaign.runs.scalar", len(scalar))
+        for outcome in place(scalar):
             yield [outcome]
 
-    def _planned_outcomes(self, plan, execute, sampled):
+    def _planned_outcomes(self, plan, place, sampled):
         """The campaign's outcome groups: ``plan``'s chunks, in order.
 
         Every campaign is driven by a chunk plan — an exhaustive plan
         holding one chunk of every pending fault, or a stratified
         sampler (:func:`~repro.campaign.sampling.build_plan`).  Each
-        chunk's pending faults run on ``execute``, the serial, batched
-        or fork-pool stream picked once for the campaign, and the chunk
+        chunk's pending faults run as tasks on ``place``, the
+        placement picked once for the campaign (in process or the
+        fork pool; :meth:`_chunk_outcomes`), and the chunk
         is closed with ``finish_chunk`` — legal here because the parent
         consumer classifies, records into the plan and commits each
         group *before* this generator resumes.  A sampled stream ends
@@ -1072,7 +1016,7 @@ class CampaignRunner:
                     pending=len(chunk.pending), trials=plan.trials,
                 )
             if chunk.pending:
-                yield from execute(list(chunk.pending))
+                yield from self._chunk_outcomes(list(chunk.pending), place)
             if plan.finish_chunk(chunk):
                 break
         if sampled and plan.finished:
@@ -1090,7 +1034,7 @@ class CampaignRunner:
         self,
         workers=None,
         warm_start=False,
-        batch=False,
+        batch="off",
         checkpoint_every=None,
         max_checkpoints=None,
         store=None,
@@ -1114,19 +1058,19 @@ class CampaignRunner:
         """Run golden + every (remaining) fault; returns a
         :class:`CampaignResult`.
 
-        :param workers: when > 1 on a platform with ``fork``, faulty
-            runs execute under a :class:`WorkerSupervisor` (each
-            worker inherits the factory, hooks — and in warm mode the
-            golden design with its snapshots — via fork; only probe
+        :param workers: when > 1 on a platform with ``fork``, tasks —
+            faults and batches alike — run on a pool of forked
+            workers under a :class:`WorkerSupervisor` (each worker
+            inherits the factory, hooks — and in warm mode the golden
+            design with its checkpoint tree — via fork; only probe
             traces and metric dicts are shipped back; dead workers are
             detected, attributed and replaced).  Comparison,
             classification and store writes always happen in the
             parent — the single writer — against the one golden run,
             streaming as results arrive.  Sampled campaigns run each
-            chunk on the pool.  Runs stay serial, and record
-            ``execution["workers"] == 1``, in batched mode and without
-            ``fork`` (both logged as warnings) and with at most one
-            pending fault.
+            chunk on the pool.  Runs stay in process, and record
+            ``execution["workers"] == 1``, without ``fork`` (logged as
+            a warning) and with at most one pending fault.
         :param warm_start: restore golden checkpoints instead of
             re-simulating each fault from t=0 (see the module
             docstring for semantics and caveats).
@@ -1142,10 +1086,10 @@ class CampaignRunner:
             walk (copy-on-divergence) and splice golden trace tails
             when a mutant's state re-converges (see
             :meth:`run_batch_digital`).  Either way results stay
-            bit-identical to scalar execution.  Batched groups execute
-            serially in the parent (the vectorization is the
-            parallelism); leftover scalar runs follow serially too, so
-            ``workers`` is ignored with a warning.  Campaigns with
+            bit-identical to scalar execution.  Batches and the
+            leftover scalar runs are tasks like any other, so they
+            compose with ``workers``: each pool worker walks its own
+            copy of the golden checkpoint tree.  Campaigns with
             ``metric_hooks`` degrade to plain warm starts.
         :param checkpoint_every: checkpoint time granularity in
             seconds for warm starts (default: one checkpoint per
@@ -1199,10 +1143,10 @@ class CampaignRunner:
             half-width drops to ``margin`` at ``confidence`` (see
             :mod:`repro.campaign.sampling`).  Faults never simulated
             get ``skipped`` store rows; the sampling estimate lands in
-            ``result.execution["sampling"]``.  Each chunk runs on the
-            campaign's executor — serial, batched or the ``workers``
-            fork pool — and closes before the next is drawn, so the
-            stored rows do not depend on the executor.
+            ``result.execution["sampling"]``.  Each chunk's tasks —
+            scalar or batched, in process or on the ``workers`` pool —
+            finish before the next chunk is drawn, so the stored rows
+            do not depend on how or where they ran.
         :param margin: requested half-width of the pooled interval
             (e.g. ``0.005`` = ±0.5%).  Required with ``sample``, refused
             without it, also when resuming a campaign whose store
@@ -1325,16 +1269,8 @@ class CampaignRunner:
         if store is not None:
             store.check_golden(campaign_id, golden_probes)
 
-        parallel = workers is not None and workers > 1 and len(pending) > 1
-        if batch and parallel:
-            LOGGER.warning(
-                "batched execution requested with workers=%d; batching "
-                "runs serially in the parent (the vectorization is the "
-                "parallelism) — ignoring workers", workers,
-            )
-            parallel = False
         context = None
-        if parallel:
+        if workers is not None and workers > 1 and len(pending) > 1:
             context = self._fork_context()
             if context is None:
                 LOGGER.warning(
@@ -1342,8 +1278,7 @@ class CampaignRunner:
                     "'fork' start method is unavailable on this platform; "
                     "falling back to serial execution", workers,
                 )
-                parallel = False
-        workers = workers if parallel else 1
+        workers = workers if context is not None else 1
         mode = "batched" if batch else ("warm" if warm_start else "cold")
         if sample:
             mode = f"sampled-{mode}"
@@ -1352,16 +1287,13 @@ class CampaignRunner:
             pending=len(pending), mode=mode, workers=workers,
             resume=bool(resume),
         )
-        if batch:
-            execute = partial(self._batched_outcomes, mode=batch_mode)
-        elif parallel:
-            execute = partial(
-                self._parallel_outcomes, workers=workers, context=context,
-                monitor=self._build_worker_monitor(store, campaign_id),
-            )
-        else:
-            execute = self._serial_outcomes
-        outcomes = self._planned_outcomes(plan, execute, sampled=sample)
+        supervisor = WorkerSupervisor(
+            context, self._run_task, workers, retry=self._retry,
+            deadline_s=getattr(budget, "max_wall_s", None),
+            monitor=self._build_monitor(store, campaign_id),
+        )
+        place = supervisor.inline if context is None else supervisor.outcomes
+        outcomes = self._planned_outcomes(plan, place, sampled=sample)
 
         registry = _metrics.REGISTRY
         phases = self._phase_s
@@ -1378,6 +1310,9 @@ class CampaignRunner:
             rows = []
             for index, ok, payload, wall_s, attempts in group:
                 fault = self.spec.faults[index]
+                if self.progress is not None:
+                    self.progress(len(new_runs) + len(errors), len(pending),
+                                  fault)
                 stratum = plan.stratum_of(index)
                 retried += attempts - 1
                 if not ok:
@@ -1523,10 +1458,10 @@ class CampaignRunner:
         if sample:
             result.execution["sampling"] = plan.summary()
         # Per-phase wall-time breakdown.  restore/step accrue inside
-        # the process that simulates — the parent for serial and
-        # batched campaigns; forked workers (whose accumulators die
-        # with them) for parallel ones — so in parallel mode only the
-        # parent-side classify/store_write phases are visible.
+        # the process that simulates — the parent in process; forked
+        # workers (whose accumulators die with them) on the pool — so
+        # on the pool only the parent-side classify/store_write phases
+        # are visible.
         result.execution["phases"] = {
             name: round(value, 6) for name, value in phases.items()
         }

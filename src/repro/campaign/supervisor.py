@@ -1,45 +1,47 @@
-"""Supervised worker-pool execution with retry and quarantine.
+"""Task placement: in the campaign process or on supervised workers.
 
-The bare ``multiprocessing.Pool.imap`` the campaign runner used to
-fan out faulty runs had a fatal flaw for long campaigns: a worker that
-dies (segfault, OOM kill, runaway simulation killed by the operator)
-simply never reports, and ``imap`` blocks forever waiting for it.
-Large fault-injection platforms (DAVOS, FsimNNs) treat hung and
-crashed runs as *first-class outcomes*; this module brings the same
-discipline to the simulation flow:
+A campaign runs *tasks* — a fault index, or a planned :class:`Batch`
+of them — through one body.  A :class:`WorkerSupervisor` places them:
+:meth:`~WorkerSupervisor.inline` in the campaign process, or
+:meth:`~WorkerSupervisor.outcomes` on forked workers, with one retry
+rule and one set of monitor notifications.  Hung and crashed runs are
+*first-class outcomes*, as on large fault-injection platforms (DAVOS,
+FsimNNs), never a pool blocked on a worker that will not report:
 
 * each worker is a **directly supervised process** with a dedicated
-  duplex pipe — the parent always knows which fault each worker is
-  running, so a death is attributable;
-* a worker whose pipe hits EOF mid-run is declared **crashed** (its
-  exit code is recorded) and a replacement is forked;
-* when a per-fault wall-clock deadline is configured, a worker that
-  overruns it (plus a grace period for the kernel's own cooperative
-  :class:`~repro.core.budget.RunBudget` to fire first) is killed and
-  the fault is declared **timed out**;
+  duplex pipe — the parent always knows which task each worker is
+  running, so a death (EOF on the pipe) is attributed, declared
+  **crashed** with its exit code, and the worker replaced;
+* a worker that overruns the per-fault wall-clock deadline (times the
+  size of a batch) plus a grace period for the kernel's own
+  cooperative :class:`~repro.core.budget.RunBudget` is killed and its
+  task declared **timed out**;
 * failed faults are **retried** with capped exponential backoff under a
   :class:`RetryPolicy`; when attempts are exhausted the fault is
-  **quarantined** — a terminal, classified outcome, never a stalled
-  campaign.
+  **quarantined** — a terminal, classified outcome.  A batch is never
+  retried: its failure is terminal, and the caller runs its faults
+  one by one.
 
 The supervisor is transport-only: it never interprets simulation
-results.  Outcomes stream back to the single-writer parent exactly
-like the serial path's, as ``(index, ok, payload, wall_s, attempts)``
-tuples where a failure payload is ``(exception, status)``.
+results.  Outcomes stream back to the single-writer parent as
+``(task, ok, payload, wall_s, attempts)`` tuples where a failure
+payload is ``(exception, status)``.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 import pickle
 import threading
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_ready
 from time import monotonic, sleep
 
 from ..core.errors import CampaignError, ReproError, WorkerCrashError
+from ..obs import journal as _journal
 from ..obs import metrics as _metrics
 from .classify import RUN_CRASHED, RUN_TIMEOUT
 
@@ -48,18 +50,43 @@ LOGGER = logging.getLogger("repro.campaign")
 #: Default seconds between worker heartbeat messages.
 DEFAULT_HEARTBEAT_S = 1.0
 
-#: Worker-local run state the heartbeat thread reports.  The campaign
-#: worker bodies update it (plain dict assignment — no locking needed
-#: for a single-writer, single-reader flag) as a run moves through its
-#: phases; fork gives every worker its own copy.
-WORKER_PHASE = {"index": None, "phase": "idle"}
+#: Seconds between the pool's polls for results and deadlines.
+POLL_S = 0.05
+
+#: Grace between a task's deadline and the pool's hard kill, so the
+#: kernel's cooperative budget trips first.
+KILL_GRACE_S = 2.0
+
+#: The run state of this process, which a worker's heartbeat thread
+#: reports: the fault and attempt in flight (``index`` is None for a
+#: batch) and the phase.  Placements set it around every task; the
+#: campaign's task body reads the attempt and updates the phase (plain
+#: dict assignment — no locking needed for a single-writer,
+#: single-reader flag).  Fork gives every worker its own copy.
+WORKER_PHASE = {"index": None, "attempt": None, "phase": "idle"}
 
 
-def set_worker_phase(phase, index=None):
-    """Record the phase the current (worker) process is in."""
-    WORKER_PHASE["phase"] = phase
-    if index is not None:
-        WORKER_PHASE["index"] = index
+def fork_context():
+    """The ``fork`` multiprocessing context, or None where unsupported.
+
+    Forked workers inherit the design factory, the runner and its warm
+    state; ``spawn``/``forkserver`` cannot ship an arbitrary closure.
+    """
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+
+
+#: A planned batch task: ``indices`` restore the golden checkpoint at
+#: ``t_ckpt`` and run together as one ``kind`` batch.
+Batch = namedtuple("Batch", "kind t_ckpt indices")
+
+
+def _describe(task):
+    if isinstance(task, Batch):
+        return f"{task.kind} batch of {len(task.indices)} faults"
+    return f"fault {task}"
 
 
 @dataclass(frozen=True)
@@ -96,7 +123,7 @@ def _picklable(outcome):
     one that does not survive a pickle round trip ships as a
     :class:`~repro.core.errors.CampaignError` naming its type and
     message (the worker classified the original)."""
-    index, ok, payload, wall_s = outcome
+    task, ok, payload, wall_s = outcome
     if ok:
         return outcome
     exc, status = payload
@@ -104,11 +131,21 @@ def _picklable(outcome):
         pickle.loads(pickle.dumps(exc))
     except Exception:
         exc = CampaignError(f"{type(exc).__name__}: {exc}")
-    return index, ok, (exc, status), wall_s
+    return task, ok, (exc, status), wall_s
+
+
+def _run(body, task, attempt):
+    """One attempt of ``task`` through ``body``, under the run state
+    (:data:`WORKER_PHASE`) the heartbeat reports."""
+    WORKER_PHASE.update(index=None if isinstance(task, Batch) else task,
+                        attempt=attempt, phase="running")
+    outcome = body(task)
+    WORKER_PHASE.update(index=None, attempt=None, phase="idle")
+    return outcome
 
 
 def _supervised_worker(conn, body, heartbeat_s=None):
-    """Worker main loop: receive a fault index, run it, send the outcome.
+    """Worker main loop: receive a task, run it, send the outcome.
 
     ``body`` catches per-run exceptions itself and folds them into the
     outcome tuple, so the only way this loop dies is a genuine process
@@ -123,6 +160,9 @@ def _supervised_worker(conn, body, heartbeat_s=None):
     writes travel opposite directions on the duplex pipe, so the main
     thread's blocking ``recv`` never contends with a heartbeat send).
     """
+    # The fork duplicated the parent's open journal handle: close this
+    # copy, so the parent stays the journal's only writer (one ``seq``).
+    _journal.JOURNAL.close()
     send_lock = threading.Lock()
     stop = threading.Event()
 
@@ -144,15 +184,12 @@ def _supervised_worker(conn, body, heartbeat_s=None):
     try:
         while True:
             try:
-                task = conn.recv()
+                message = conn.recv()
             except EOFError:
                 break
-            if task is None:
+            if message is None:
                 break
-            set_worker_phase("running", index=task)
-            outcome = body(task)
-            set_worker_phase("idle")
-            WORKER_PHASE["index"] = None
+            outcome = _run(body, *message)
             with send_lock:
                 conn.send(("result", _picklable(outcome)))
     finally:
@@ -163,55 +200,56 @@ def _supervised_worker(conn, body, heartbeat_s=None):
 class _Worker:
     """Parent-side record of one supervised worker process."""
 
-    __slots__ = ("process", "conn", "index", "attempt", "started_at",
-                 "killed", "last_heartbeat", "heartbeat_at")
+    __slots__ = ("process", "conn", "task", "attempt", "started_at",
+                 "killed", "last_heartbeat")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
-        self.index = None       # fault index in flight (None = idle)
+        self.task = None        # task in flight (None = idle)
         self.attempt = 0
         self.started_at = 0.0
         self.killed = False     # True when the supervisor killed it
         self.last_heartbeat = None   # most recent hb payload dict
-        self.heartbeat_at = None     # monotonic() of that payload
 
     @property
     def busy(self):
-        return self.index is not None
+        return self.task is not None
 
 
 class WorkerSupervisor:
-    """Fault-tolerant fan-out of campaign runs over forked workers.
+    """Places campaign tasks in this process or on forked workers.
 
-    :param context: a ``fork`` multiprocessing context (workers inherit
-        the runner, design factory and warm state by fork).
+    :param context: a ``fork`` multiprocessing context for the pool
+        (workers inherit the runner, design factory and warm state by
+        fork), or None when every task runs in this process.
     :param body: any callable the fork inherits — a bound method
-        works, nothing is pickled — taking a fault index and returning
-        ``(index, ok, payload, wall_s)``, where a failure's payload is
-        ``(exception, status)``; it must catch run exceptions itself
-        (see :meth:`repro.campaign.runner.CampaignRunner._attempt`).
+        works, nothing is pickled — taking a task (a fault index or a
+        :class:`Batch`) and returning ``(task, ok, payload, wall_s)``,
+        where a failure's payload is ``(exception, status)``; it must
+        catch run exceptions itself (see
+        :meth:`repro.campaign.runner.CampaignRunner._run_task`).
     :param workers: maximum concurrent worker processes.
     :param retry: optional :class:`RetryPolicy`; ``None`` fails each
         fault on its first bad attempt (``on_error="raise"`` mode).
-    :param deadline_s: optional per-fault wall-clock deadline.  The
-        kernel's cooperative budget should be the one to trip it; the
-        supervisor hard-kills only ``kill_grace_s`` later, catching
-        runs wedged inside a single native call.
-    :param kill_grace_s: grace between the deadline and the hard kill.
-    :param poll_s: result-poll granularity.
+    :param deadline_s: optional per-fault wall-clock deadline (a batch
+        gets it times its size).  The kernel's cooperative budget
+        should be the one to trip it; the pool hard-kills only
+        :data:`KILL_GRACE_S` later, catching runs wedged inside a
+        single native call.
     :param heartbeat_s: seconds between worker liveness heartbeats
         (``None`` disables the heartbeat thread entirely).
     :param monitor: optional callable ``(event_dict)`` notified of
-        worker lifecycle events — ``spawned``, ``task``,
-        ``heartbeat``, ``died`` — with the worker pid and (where
-        known) the fault index, phase and exit code.  The supervisor
-        stays transport-only; the campaign runner's monitor turns
-        these into journal events and store rows.
+        every attempt's start (``task``, with the ``task`` and its
+        ``attempt``) and retry (``retry``) and, on the pool, of worker
+        lifecycle events — ``spawned``, ``heartbeat``, ``died`` —
+        with the worker pid and (where known) the fault index, phase
+        and exit code.  The supervisor stays transport-only; the
+        campaign runner's monitor turns these into journal events and
+        store rows.
     """
 
     def __init__(self, context, body, workers, retry=None, deadline_s=None,
-                 kill_grace_s=2.0, poll_s=0.05,
                  heartbeat_s=DEFAULT_HEARTBEAT_S, monitor=None):
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers!r}")
@@ -220,8 +258,6 @@ class WorkerSupervisor:
         self.n_workers = workers
         self.retry = retry
         self.deadline_s = deadline_s
-        self.kill_grace_s = kill_grace_s
-        self.poll_s = poll_s
         self.heartbeat_s = heartbeat_s
         self.monitor = monitor
 
@@ -233,7 +269,39 @@ class WorkerSupervisor:
         except Exception:
             LOGGER.exception("worker monitor callback failed")
 
-    # -- process management ------------------------------------------------
+    def _dispose(self, task, attempt, status):
+        """The backoff before retrying a failed attempt, or None when
+        the failure is terminal: no retry policy, attempts used up, or
+        a batch (the caller runs its faults one by one instead)."""
+        if (self.retry is None or attempt >= self.retry.attempts
+                or isinstance(task, Batch)):
+            return None
+        delay = self.retry.delay(attempt)
+        _metrics.REGISTRY.inc("campaign.retries")
+        self._notify("retry", index=task, attempt=attempt, delay_s=delay,
+                     status=status)
+        return delay
+
+    # -- in this process -----------------------------------------------------
+
+    def inline(self, tasks):
+        """Yield one terminal outcome per task, running each in this
+        process, in order; a failed attempt is retried right after its
+        backoff.  The in-process twin of :meth:`outcomes`."""
+        for task in tasks:
+            attempt = 1
+            while True:
+                self._notify("task", task=task, attempt=attempt)
+                _task, ok, payload, wall_s = _run(self.body, task, attempt)
+                delay = None if ok else self._dispose(task, attempt,
+                                                      payload[1])
+                if delay is None:
+                    break
+                sleep(delay)
+                attempt += 1
+            yield task, ok, payload, wall_s, attempt
+
+    # -- on forked workers ---------------------------------------------------
 
     def _spawn(self):
         parent_conn, child_conn = self.context.Pipe()
@@ -267,20 +335,25 @@ class WorkerSupervisor:
                 worker.process.kill()
                 worker.process.join(timeout=0.5)
 
-    # -- outcome stream ----------------------------------------------------
+    def _limit(self, task):
+        """Seconds a worker may spend on ``task`` before the kill."""
+        size = len(task.indices) if isinstance(task, Batch) else 1
+        return self.deadline_s * size + KILL_GRACE_S
 
-    def outcomes(self, pending):
-        """Yield one terminal outcome per pending fault, as completed.
+    def outcomes(self, tasks):
+        """Yield one terminal outcome per task, run on forked workers,
+        as completed.
 
-        Outcomes are ``(index, ok, payload, wall_s, attempts)`` in
-        completion order (the campaign parent re-sorts by index).  The
-        generator owns the worker processes; closing it (including via
-        an exception in the consumer) tears them down.
+        Outcomes are ``(task, ok, payload, wall_s, attempts)`` in
+        completion order (the campaign parent re-sorts by index).  Up
+        to ``workers`` processes start as soon as tasks are queued for
+        them.  The generator owns the worker processes; closing it
+        (including via an exception in the consumer) tears them down.
         """
-        queue = deque((index, 1) for index in pending)
-        delayed = []            # (ready_at, index, attempt)
+        queue = deque((task, 1) for task in tasks)
+        delayed = []            # (ready_at, task, attempt)
         workers = []
-        remaining = len(pending)
+        remaining = len(tasks)
 
         try:
             while remaining > 0:
@@ -291,54 +364,42 @@ class WorkerSupervisor:
                     due = [item for item in delayed if item[0] <= now]
                     for item in due:
                         delayed.remove(item)
-                        queue.append((item[1], item[2]))
+                        queue.append(item[1:])
 
-                # Grow the pool lazily and hand tasks to idle workers.
+                # Start a worker per queued task, up to the pool size,
+                # then hand tasks to idle workers.
                 idle = [w for w in workers if not w.busy]
-                while queue and not idle and len(workers) < self.n_workers:
+                while (
+                    len(queue) > len(idle) and len(workers) < self.n_workers
+                ):
                     worker = self._spawn()
                     workers.append(worker)
                     idle.append(worker)
                 for worker in idle:
                     if not queue:
                         break
-                    index, attempt = queue.popleft()
-                    worker.index = index
+                    task, attempt = queue.popleft()
+                    worker.task = task
                     worker.attempt = attempt
                     worker.started_at = monotonic()
                     worker.killed = False
                     try:
-                        worker.conn.send(index)
-                        self._notify("task", pid=worker.process.pid,
-                                     index=index, attempt=attempt)
-                    except (OSError, ValueError) as exc:
-                        # Worker died before it ever took a task.
-                        workers.remove(worker)
-                        outcome = self._dispose(
-                            delayed, index, attempt,
-                            WorkerCrashError(
-                                f"worker died before accepting fault "
-                                f"{index}: {exc}",
-                                exitcode=worker.process.exitcode,
-                            ),
-                            RUN_CRASHED, 0.0,
-                        )
-                        if outcome is not None:
-                            remaining -= 1
-                            yield outcome
+                        worker.conn.send((task, attempt))
+                    except OSError:
+                        pass  # died idle: harvested below like any death
+                    self._notify("task", pid=worker.process.pid, task=task,
+                                 attempt=attempt)
 
                 busy = [w for w in workers if w.busy]
                 if not busy:
                     if queue or delayed:
                         # Only delayed retries left; nap until one is due.
-                        sleep(self.poll_s)
+                        sleep(POLL_S)
                         continue
                     break  # defensive: nothing in flight, nothing queued
 
                 # Harvest whatever is ready (results or worker EOFs).
-                ready = _wait_ready(
-                    [w.conn for w in busy], timeout=self.poll_s
-                )
+                ready = _wait_ready([w.conn for w in busy], timeout=POLL_S)
                 by_conn = {w.conn: w for w in busy}
                 for conn in ready:
                     worker = by_conn[conn]
@@ -347,20 +408,21 @@ class WorkerSupervisor:
                         remaining -= 1
                         yield outcome
 
-                # Enforce the hard per-fault deadline.
+                # Enforce the hard per-task deadline.
                 if self.deadline_s is not None:
-                    limit = self.deadline_s + self.kill_grace_s
                     now = monotonic()
                     for worker in workers:
                         if (
                             worker.busy
                             and not worker.killed
-                            and now - worker.started_at > limit
+                            and now - worker.started_at
+                            > self._limit(worker.task)
                         ):
                             LOGGER.warning(
-                                "killing worker pid=%s: fault %d exceeded "
-                                "its %.3gs deadline",
-                                worker.process.pid, worker.index, limit,
+                                "killing worker pid=%s: %s exceeded its "
+                                "%.3gs deadline", worker.process.pid,
+                                _describe(worker.task),
+                                self._limit(worker.task),
                             )
                             worker.killed = True
                             worker.process.kill()
@@ -370,15 +432,15 @@ class WorkerSupervisor:
     def _harvest(self, workers, delayed, worker):
         """Collect one ready message (or death) from ``worker``.
 
-        Returns a terminal outcome tuple, or None when the fault was
-        rescheduled for retry.
+        Returns a terminal outcome tuple, or None when the message was
+        a heartbeat or the fault was rescheduled for retry.
         """
-        index, attempt = worker.index, worker.attempt
+        task, attempt = worker.task, worker.attempt
         wall_s = monotonic() - worker.started_at
         try:
             message = worker.conn.recv()
         except (EOFError, OSError):
-            # The worker died mid-run: attribute the death to the fault
+            # The worker died mid-run: attribute the death to the task
             # it was executing, then replace the process.
             workers.remove(worker)
             worker.conn.close()
@@ -387,51 +449,40 @@ class WorkerSupervisor:
             if worker.killed:
                 status = RUN_TIMEOUT
                 error = WorkerCrashError(
-                    f"worker killed after fault {index} exceeded its "
-                    f"{self.deadline_s:.3g}s deadline "
+                    f"worker killed after {_describe(task)} exceeded its "
+                    f"{self._limit(task) - KILL_GRACE_S:.3g}s deadline "
                     f"(wall {wall_s:.3g}s)",
                     exitcode=exitcode,
                 )
             else:
                 status = RUN_CRASHED
                 error = WorkerCrashError(
-                    f"worker running fault {index} died "
+                    f"worker running {_describe(task)} died "
                     f"(exitcode {exitcode})",
                     exitcode=exitcode,
                 )
             LOGGER.warning("%s", error)
             _metrics.REGISTRY.inc("campaign.worker_deaths")
             self._notify(
-                "died", pid=worker.process.pid, index=index,
+                "died", pid=worker.process.pid,
+                index=None if isinstance(task, Batch) else task,
                 attempt=attempt, exitcode=exitcode, killed=worker.killed,
                 status=status, last_heartbeat=worker.last_heartbeat,
             )
-            return self._dispose(delayed, index, attempt, error, status,
-                                 wall_s)
-
-        tag, result = message
-        if tag == "hb":
-            # Liveness only: the worker stays busy on its fault.
-            worker.last_heartbeat = result
-            worker.heartbeat_at = monotonic()
-            self._notify("heartbeat", **result)
-            return None
-
-        worker.index = None  # idle again
-        r_index, ok, payload, r_wall = result
-        if ok:
-            return r_index, True, payload, r_wall, attempt
-        exc, status = payload
-        return self._dispose(delayed, r_index, attempt, exc, status, r_wall)
-
-    def _dispose(self, delayed, index, attempt, exc, status, wall_s):
-        """Retry a failed attempt, or return its terminal outcome."""
-        if self.retry is not None and attempt < self.retry.attempts:
-            _metrics.REGISTRY.inc("campaign.retries")
-            self._notify("retry", index=index, attempt=attempt,
-                         delay_s=self.retry.delay(attempt), status=status)
-            delayed.append(
-                (monotonic() + self.retry.delay(attempt), index, attempt + 1)
-            )
-            return None
-        return index, False, (exc, status), wall_s, attempt
+            payload = (error, status)
+        else:
+            tag, result = message
+            if tag == "hb":
+                # Liveness only: the worker stays busy on its task.
+                worker.last_heartbeat = result
+                self._notify("heartbeat", **result)
+                return None
+            worker.task = None  # idle again
+            _task, ok, payload, wall_s = result
+            if ok:
+                return task, True, payload, wall_s, attempt
+        delay = self._dispose(task, attempt, payload[1])
+        if delay is None:
+            return task, False, payload, wall_s, attempt
+        delayed.append((monotonic() + delay, task, attempt + 1))
+        return None

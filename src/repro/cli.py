@@ -47,6 +47,7 @@ errors, 3 one or more fault runs raised simulation errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -55,6 +56,7 @@ from datetime import datetime, timezone
 from time import monotonic, sleep
 
 from .campaign import (
+    CampaignRunner,
     CampaignSpec,
     FaultDictionary,
     full_report,
@@ -233,23 +235,12 @@ def cmd_campaign_run(args):
             design_factory(netlist),
             spec,
             workers=args.workers,
-            warm_start=args.warm_start,
-            batch=args.batch,
-            checkpoint_every=(
-                parse_quantity(args.checkpoint_every, expect_unit="s")
-                if args.checkpoint_every
-                else None
-            ),
-            max_checkpoints=args.max_checkpoints,
             progress=progress,
             store=store,
             resume=args.resume is not None,
             on_error="collect",
-            timeout=args.timeout,
-            event_budget=args.event_budget,
-            retries=args.retries,
             retry_quarantined=args.retry_quarantined,
-            postmortem_dir=args.postmortem_dir,
+            **_execution_options(args),
             sample=args.sample,
             margin=args.margin,
             confidence=args.confidence,
@@ -529,21 +520,34 @@ def _build_spec(args):
     return netlist, spec
 
 
+def _execution_options(args):
+    """The execution flags run, serve and submit share
+    (:func:`_add_execution_options`), as ``run()`` keywords."""
+    options = {key: getattr(args, key) for key in (
+        "warm_start", "batch", "max_checkpoints", "postmortem_dir",
+        "timeout", "event_budget", "retries",
+    )}
+    options["checkpoint_every"] = (
+        parse_quantity(args.checkpoint_every, expect_unit="s")
+        if args.checkpoint_every else None
+    )
+    return options
+
+
 def _shard_config(args):
-    """Worker-side execution kwargs shipped inside every shard.
+    """Worker-side execution kwargs shipped inside every shard: the
+    shared execution flags whose values differ from ``run()``'s
+    defaults.
 
     Sampling flags deliberately never land here: workers execute
     plain exhaustive shards of the *drawn* faults; the coordinator
     owns the sampler (see :func:`_sampling_config`).
     """
-    config = {}
-    if args.warm_start:
-        config["warm_start"] = True
-    if args.batch != "off":
-        config["batch"] = args.batch
-    if args.timeout is not None:
-        config["timeout"] = args.timeout
-    return config
+    defaults = inspect.signature(CampaignRunner.run).parameters
+    return {
+        key: value for key, value in _execution_options(args).items()
+        if value != defaults[key].default
+    }
 
 
 def _sampling_config(args):
@@ -736,6 +740,46 @@ def _add_spec_arguments(p, required=True):
     p.add_argument("--compare-from", type=float, default=None)
 
 
+def _add_execution_options(p):
+    """Execution flags shared by run, serve and submit; each is the
+    ``run()`` keyword of the same name (:func:`_execution_options`)."""
+    p.add_argument("--warm-start", action="store_true",
+                   help="restore golden checkpoints instead of "
+                        "re-simulating each fault from t=0")
+    p.add_argument("--batch", nargs="?", const="auto", default="off",
+                   choices=["auto", "analog", "digital", "off"],
+                   metavar="{auto,analog,digital,off}",
+                   help="batched execution mode (implies --warm-start): "
+                        "'analog' advances current-injection variants as "
+                        "vectorized ensembles, 'digital' forks bit-flip "
+                        "mutants off a shared golden branch walk, 'auto' "
+                        "(the default when the flag is given bare) enables "
+                        "both; divergent variants peel off to the scalar "
+                        "path, results stay bit-identical")
+    p.add_argument("--no-batch", dest="batch", action="store_const",
+                   const="off", help="disable batched execution (same as "
+                                     "--batch off; kept as an alias)")
+    p.add_argument("--checkpoint-every", default=None,
+                   help="checkpoint granularity for --warm-start, e.g. "
+                        "'500ns' (default: per injection time)")
+    p.add_argument("--max-checkpoints", type=int, default=None,
+                   help="ceiling on retained golden checkpoints")
+    p.add_argument("--postmortem-dir", metavar="DIR", default=None,
+                   help="write a flight-recorder post-mortem JSON per "
+                        "failed run (recent solver steps, node values, "
+                        "event-queue tail, fault and budget state) into DIR")
+    p.add_argument("--timeout", default=None, metavar="SECONDS",
+                   help="per-fault wall-clock budget, e.g. '30s'; "
+                        "overrunning runs classify as 'timeout' (pool "
+                        "workers are killed a grace period later)")
+    p.add_argument("--event-budget", type=int, default=None, metavar="N",
+                   help="per-fault ceiling on kernel events; overrunning "
+                        "runs classify as 'timeout'")
+    p.add_argument("--retries", type=int, default=None, metavar="N",
+                   help="extra attempts per failed fault before it is "
+                        "quarantined (default 1; 0 disables)")
+
+
 def _add_sampling_options(p, chunk=False):
     """Adaptive-sampling flags shared by run, serve and submit."""
     from .campaign.sampling import STRATA_MODES
@@ -798,31 +842,9 @@ def build_parser():
     p_run.add_argument("--csv", help="write per-run results as CSV")
     p_run.add_argument("--listing-limit", type=int, default=20)
     p_run.add_argument("--workers", type=int, default=None,
-                       help="run faulty simulations in N processes")
-    p_run.add_argument("--warm-start", action="store_true",
-                       help="restore golden checkpoints instead of "
-                            "re-simulating each fault from t=0")
-    p_run.add_argument("--batch", nargs="?", const="auto", default="off",
-                       choices=["auto", "analog", "digital", "off"],
-                       metavar="{auto,analog,digital,off}",
-                       help="batched execution mode (implies "
-                            "--warm-start): 'analog' advances "
-                            "current-injection variants as vectorized "
-                            "ensembles, 'digital' forks bit-flip "
-                            "mutants off a shared golden branch walk, "
-                            "'auto' (the default when the flag is "
-                            "given bare) enables both; divergent "
-                            "variants peel off to the scalar path, "
-                            "results stay bit-identical")
-    p_run.add_argument("--no-batch", dest="batch", action="store_const",
-                       const="off",
-                       help="disable batched execution (same as "
-                            "--batch off; kept as an alias)")
-    p_run.add_argument("--checkpoint-every", default=None,
-                       help="checkpoint granularity for --warm-start, "
-                            "e.g. '500ns' (default: per injection time)")
-    p_run.add_argument("--max-checkpoints", type=int, default=None,
-                       help="ceiling on retained golden checkpoints")
+                       help="run faulty simulations (and batches) in N "
+                            "processes")
+    _add_execution_options(p_run)
     p_run.add_argument("--store", metavar="DB", default=None,
                        help="record results into a campaign database as "
                             "each run completes")
@@ -839,23 +861,6 @@ def build_parser():
                             "JSONL while the campaign runs; 'campaign "
                             "watch' tails it (with --resume the file "
                             "is appended, not truncated)")
-    p_run.add_argument("--postmortem-dir", metavar="DIR", default=None,
-                       help="write a flight-recorder post-mortem JSON "
-                            "per failed run (recent solver steps, node "
-                            "values, event-queue tail, fault and "
-                            "budget state) into DIR")
-    p_run.add_argument("--timeout", default=None, metavar="SECONDS",
-                       help="per-fault wall-clock budget, e.g. '30s'; "
-                            "overrunning runs classify as 'timeout' "
-                            "(parallel workers are killed a grace "
-                            "period later)")
-    p_run.add_argument("--event-budget", type=int, default=None,
-                       metavar="N",
-                       help="per-fault ceiling on kernel events; "
-                            "overrunning runs classify as 'timeout'")
-    p_run.add_argument("--retries", type=int, default=None, metavar="N",
-                       help="extra attempts per failed fault before it "
-                            "is quarantined (default 1; 0 disables)")
     p_run.add_argument("--retry-quarantined", action="store_true",
                        help="with --resume, re-run previously "
                             "quarantined faults instead of skipping "
@@ -913,16 +918,7 @@ def build_parser():
     def _add_spec_options(p, required=True):
         """Spec and worker options shared by serve and submit."""
         _add_spec_arguments(p, required)
-        p.add_argument("--warm-start", action="store_true",
-                       help="workers restore golden checkpoints instead "
-                            "of re-simulating each fault from t=0")
-        p.add_argument("--batch", nargs="?", const="auto", default="off",
-                       choices=["auto", "analog", "digital", "off"],
-                       metavar="{auto,analog,digital,off}",
-                       help="workers use batched execution "
-                            "(implies --warm-start)")
-        p.add_argument("--timeout", default=None, metavar="SECONDS",
-                       help="per-fault wall-clock budget on workers")
+        _add_execution_options(p)
         p.add_argument("--no-ship-netlist", dest="ship_netlist",
                        action="store_false", default=True,
                        help="do not embed the netlist in shards; "

@@ -180,8 +180,12 @@ class _SampleBuffer:
             self._objects[:] = data[:n]
 
     def load_from(self, other):
-        """Become a copy of ``other`` (a :class:`_SampleBuffer`)."""
-        self.load_prefix(other.copy_data(), len(other))
+        """Become a copy of ``other`` (a :class:`_SampleBuffer`),
+        copying each sample once, straight from its storage."""
+        if other._objects is not None:
+            self._objects = list(other._objects)
+        else:
+            self.load_prefix(other._data, other._n)
 
     # -- list-like surface ------------------------------------------------
 

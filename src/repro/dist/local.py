@@ -13,28 +13,15 @@ checkpoints and the campaign's faults split across them.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 
+from ..campaign.supervisor import fork_context
 from ..obs import journal as _journal
 from ..store.store import CampaignStore
 from .coordinator import Coordinator, CoordinatorError
 from .worker import run_worker
 
 LOGGER = logging.getLogger("repro.dist")
-
-
-def _fork_context():
-    """The ``fork`` start method, or None where unsupported.
-
-    Local workers inherit the design factory by fork — ``spawn``
-    cannot ship an arbitrary closure, so platforms without ``fork``
-    must run workers as separate processes against a netlist file.
-    """
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
 
 
 def _worker_main(address, factory, name, worker_kwargs):
@@ -60,7 +47,7 @@ def spawn_local_workers(address, count, factory, context=None,
 
     :raises CoordinatorError: when ``fork`` is unavailable.
     """
-    context = context or _fork_context()
+    context = context or fork_context()
     if context is None:
         raise CoordinatorError(
             "local distributed workers need the 'fork' start method "
@@ -110,7 +97,7 @@ def run_distributed(factory, spec, workers=2, shard_size=None,
 
     if store_path is None:
         raise CoordinatorError("run_distributed requires a store_path")
-    context = _fork_context()
+    context = fork_context()
     if context is None:
         raise CoordinatorError(
             "run_distributed needs the 'fork' start method"

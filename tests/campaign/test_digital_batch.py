@@ -183,11 +183,15 @@ class TestDigitalBatchEquivalence:
         assert stats["analog_batches"] == 0
 
     def test_batched_run_reports_the_workers_it_used(self):
-        """Batching runs in the parent: ``workers`` is dropped, and the
-        execution record says so."""
+        """Batches run on the pool like any other task: ``workers`` is
+        kept, the execution record says so, and the rows equal the
+        in-process batched run's."""
+        serial = run_campaign(shiftreg_factory, shiftreg_spec(),
+                              batch="digital")
         batched = run_campaign(shiftreg_factory, shiftreg_spec(),
                                batch="digital", workers=2)
-        assert batched.execution["workers"] == 1
+        assert batched.execution["workers"] == 2
+        assert_same_outcome(serial, batched)
 
     def test_analog_mode_leaves_digital_faults_scalar(self):
         """``batch="analog"`` must not touch bit-flip campaigns."""

@@ -1,11 +1,15 @@
 """Tests for the parallel (fork-based) campaign runner."""
 
+import json
 import multiprocessing
+import os
+import signal
 import sys
 
 import pytest
 
 from repro.campaign import CampaignSpec, Design, exhaustive_bitflips, run_campaign
+from repro.campaign.runner import CampaignRunner
 from repro.core import Component, L0, Simulator
 from repro.digital import Bus, ClockGen, Counter, ParityGen
 from repro.store import CampaignStore
@@ -114,3 +118,114 @@ class TestParallelSampled:
         assert pool["sampling"] == serial["sampling"]
         assert pool["workers"] == 2
         assert serial["workers"] == 1
+
+
+def stored_run(path, factory, spec, **kwargs):
+    """Run ``spec`` into a store at ``path``: its execution record and
+    its run rows without ``wall_s``, keyed by fault index."""
+    with CampaignStore(str(path)) as store:
+        result = run_campaign(factory, spec, store=store, **kwargs)
+        rows = {
+            row["idx"]: {k: v for k, v in row.items() if k != "wall_s"}
+            for row in store.run_rows(store.campaign_id(spec.name))
+        }
+    return result.execution, rows
+
+
+#: Batch counters the pool must reproduce (``branch_snapshots`` is per
+#: process: each worker walks its own copy of the golden tree).
+BATCH_COUNTS = ("batches", "batched_runs", "peeled", "converged",
+                "fallbacks", "scalar_runs")
+
+
+@needs_fork
+class TestPoolBatches:
+    """Batches are tasks like any other: the pool runs them, with the
+    rows and batch counts of the in-process run."""
+
+    def assert_pool_matches(self, tmp_path, factory, spec, **kwargs):
+        serial, serial_rows = stored_run(
+            tmp_path / "serial.db", factory, spec, **kwargs
+        )
+        pool, pool_rows = stored_run(
+            tmp_path / "pool.db", factory, spec, workers=2, **kwargs
+        )
+        assert pool["workers"] == 2
+        assert pool_rows == serial_rows
+        for key in BATCH_COUNTS:
+            assert pool["batch"][key] == serial["batch"][key], key
+        return pool
+
+    def test_digital_batches(self, tmp_path):
+        from .test_digital_batch import shiftreg_factory, shiftreg_spec
+
+        pool = self.assert_pool_matches(
+            tmp_path, shiftreg_factory, shiftreg_spec(), batch="digital"
+        )
+        assert pool["batch"]["digital_batches"] >= 2
+
+    def test_analog_batches_with_peels(self, tmp_path):
+        from .test_batched_runner import (
+            BENIGN, DISRUPTIVE, pll_factory, pll_spec,
+        )
+
+        spec = pll_spec(BENIGN + [DISRUPTIVE], name="pll-pool")
+        pool = self.assert_pool_matches(
+            tmp_path, pll_factory, spec, batch="auto"
+        )
+        assert pool["batch"]["peeled"] >= 1
+
+    def test_sampled_digital_batches(self, tmp_path):
+        from .test_sampled_runner import make_spec
+
+        pool = self.assert_pool_matches(
+            tmp_path, factory, make_spec(), batch="digital", sample=True,
+            margin=0.1, chunk=20, on_error="collect",
+        )
+        assert pool["sampling"]["chunks"] >= 2
+        assert pool["batch"]["batches"] >= 2
+
+    def test_worker_killed_inside_a_batch_falls_back(self, tmp_path,
+                                                     monkeypatch):
+        """The batch's faults re-run scalar, as after an in-process
+        fallback; every other row is the batched run's."""
+        from .test_digital_batch import shiftreg_factory, shiftreg_spec
+
+        spec = shiftreg_spec()
+        marker = tmp_path / "killed.json"
+        original = CampaignRunner.run_batch_digital
+        test_pid = os.getpid()
+
+        def killing_batch(self, indices):
+            if os.getpid() == test_pid:  # never kill the test process
+                return original(self, indices)
+            try:
+                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                return original(self, indices)
+            os.write(fd, json.dumps(list(indices)).encode())
+            os.close(fd)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        batched, batched_rows = stored_run(
+            tmp_path / "batched.db", shiftreg_factory, spec, batch="digital"
+        )
+        _scalar, scalar_rows = stored_run(
+            tmp_path / "scalar.db", shiftreg_factory, spec,
+            warm_start=True, batch="off",
+        )
+        monkeypatch.setattr(CampaignRunner, "run_batch_digital",
+                            killing_batch)
+        pool, pool_rows = stored_run(
+            tmp_path / "pool.db", shiftreg_factory, spec, batch="digital",
+            workers=2, on_error="collect",
+        )
+        assert pool["workers"] == 2
+        killed = set(json.loads(marker.read_text()))
+        assert pool["batch"]["fallbacks"] == 1
+        assert pool["errors"] == 0
+        assert len(pool_rows) == len(spec.faults)
+        assert killed
+        for index, row in pool_rows.items():
+            expected = scalar_rows if index in killed else batched_rows
+            assert row == expected[index], index

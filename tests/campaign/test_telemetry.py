@@ -369,6 +369,36 @@ class TestWorkerTelemetry:
         assert all(b["index"] in (0, 1) for b in busy)
         assert all(b["pid"] for b in beats)
 
+    def test_pool_starts_a_worker_per_queued_task(self):
+        """Two short tasks start two workers at once, not a second
+        worker only after the first has been busy for a poll."""
+        events = []
+
+        def body(task):
+            time.sleep(0.01)
+            return (task, True, "ok", 0.01)
+
+        supervisor = WorkerSupervisor(
+            multiprocessing.get_context("fork"), body, workers=2,
+            heartbeat_s=None, monitor=events.append,
+        )
+        outcomes = list(supervisor.outcomes(list(range(8))))
+        assert sorted(o[0] for o in outcomes) == list(range(8))
+        spawned = {e["pid"] for e in events if e["event"] == "spawned"}
+        assert len(spawned) == 2
+        assert {e["pid"] for e in events if e["event"] == "task"} == spawned
+
+    def test_pool_campaign_journal_has_one_writer(self, tmp_path):
+        """Workers close the inherited journal: the parent writes every
+        line, so ``seq`` counts the lines in file order."""
+        path = tmp_path / "j.jsonl"
+        journal.open_journal(path)
+        run_campaign(factory, make_spec(), warm_start=True, workers=2)
+        journal.close_journal()
+        events = list(read_journal(path))
+        assert [e["seq"] for e in events] == list(range(len(events)))
+        assert sum(e["event"] == "run_started" for e in events) == 4
+
     def test_monitor_exceptions_do_not_break_the_run(self):
         def bad_monitor(info):
             raise RuntimeError("monitor bug")

@@ -189,6 +189,38 @@ class TestDifference:
             difference(a, b)
 
 
+class TestClone:
+    """A clone copies each sample once, straight from its source."""
+
+    @pytest.mark.parametrize("payload", ["float", "object"])
+    def test_clone_equals_source_and_stays_independent(self, payload,
+                                                       monkeypatch):
+        from repro.core.trace import _SampleBuffer
+
+        def no_copy(self):
+            raise AssertionError("clone copied through copy_data")
+
+        if payload == "float":
+            source = ramp_trace(n=50)
+        else:
+            source = Trace("q", interp=STEP)
+            for i in range(40):
+                source.append(i * 1.0, L1 if i % 3 else L0)
+        monkeypatch.setattr(_SampleBuffer, "copy_data", no_copy)
+        dup = source.clone()
+        assert (dup.name, dup.interp) == (source.name, source.interp)
+        assert dup._times == source._times
+        assert dup._values == source._values
+        assert dup.raw_values == source.raw_values
+        last = source.raw_values[-1]
+        source.append(100.0, last)
+        assert len(dup) == len(source) - 1
+        dup.append(200.0, last)
+        dup.append(201.0, last)
+        assert len(source) == len(dup) - 1
+        assert source.times[-1] == 100.0 and dup.times[-1] == 201.0
+
+
 @given(
     st.lists(
         st.tuples(

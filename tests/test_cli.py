@@ -233,6 +233,34 @@ class TestBatchFlag:
         assert "batch mode" in out
 
 
+class TestExecutionFlags:
+    """run, serve and submit spell the execution flags one way."""
+
+    def test_submit_ships_the_shared_flags_as_shard_config(self):
+        from repro.cli import _shard_config
+        from repro.dist.coordinator import check_config
+
+        args = build_parser().parse_args([
+            "campaign", "submit", "design.json", "faults.json",
+            "--connect", "127.0.0.1:7410", "--event-budget", "10",
+            "--retries", "0", "--checkpoint-every", "50ns",
+        ])
+        config = _shard_config(args)
+        assert sorted(config) == ["checkpoint_every", "event_budget",
+                                  "retries"]
+        assert config["event_budget"] == 10 and config["retries"] == 0
+        assert config["checkpoint_every"] == pytest.approx(50e-9)
+        check_config(config)
+
+    def test_defaults_ship_an_empty_config(self):
+        from repro.cli import _shard_config
+
+        args = build_parser().parse_args(
+            ["campaign", "serve", "--db", "camp.db"]
+        )
+        assert _shard_config(args) == {}
+
+
 class TestTextNetlistSupport:
     def test_rcir_file_accepted(self, tmp_path, capsys):
         deck = (
