@@ -18,7 +18,6 @@ from collections import OrderedDict
 import numpy as np
 from scipy.linalg import expm
 
-from ..core import kernels as _kernels
 from ..core.errors import SimulationError
 
 
@@ -142,35 +141,8 @@ class LTISystem:
         ``u`` may be a float (scalar simulation) or a ``(k,)`` array
         (ensemble simulation with :attr:`x` promoted to ``(n, k)``);
         the return matches.  Only valid when :attr:`siso_fast`.
-
-        The ensemble case dispatches to the optional compiled kernels
-        (:mod:`repro.core.kernels`) when they are active; their
-        import-time self-check guarantees the jitted loops reproduce
-        these expressions bitwise, so the dispatch is invisible to the
-        campaign's bit-identity contract.
         """
         x = self.x
-        if (
-            _kernels.USE_NUMBA
-            and dt > 0
-            and x.ndim == 2
-            and isinstance(u, np.ndarray)
-            and u.dtype == np.float64
-            and x.dtype == np.float64
-        ):
-            y = np.empty_like(u)
-            if self.n_states == 1:
-                a00, _a01, _a10, _a11, b0, _b1 = self._siso_coeffs(dt)
-                return _kernels.siso1_step_kernel(
-                    x, u, a00, b0, self.c[0, 0].item(),
-                    self.d[0, 0].item(), y,
-                )
-            a00, a01, a10, a11, b0, b1 = self._siso_coeffs(dt)
-            return _kernels.siso2_step_kernel(
-                x, u, a00, a01, a10, a11, b0, b1,
-                self.c[0, 0].item(), self.c[0, 1].item(),
-                self.d[0, 0].item(), y,
-            )
         if self.n_states == 1:
             x0 = x[0]
             if dt > 0:

@@ -304,8 +304,8 @@ class CampaignRunner:
         """The placement monitor: each fault attempt's start becomes a
         ``run_started`` journal event and each retry a ``retry`` event;
         on the pool, worker lifecycle events become journal events,
-        store worker rows (on spawn, heartbeat and death) and, for
-        workers that die without reporting, parent-written
+        store worker rows (on spawn, heartbeat, death and stop) and,
+        for workers that die without reporting, parent-written
         post-mortems."""
 
         def monitor(info):
@@ -368,6 +368,12 @@ class CampaignRunner:
                         "postmortem_written", index=index, path=path,
                         status=status,
                     )
+            elif event == "stopped":
+                # Store only: the pool shut the worker down, so its row
+                # must stop reading alive.
+                if store is not None:
+                    store.record_worker(campaign_id, pid, "stopped",
+                                        exitcode=info.get("exitcode"))
             elif event == "retry":
                 _journal.emit(
                     "retry", index=index, attempt=info.get("attempt"),

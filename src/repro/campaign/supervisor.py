@@ -242,11 +242,11 @@ class WorkerSupervisor:
     :param monitor: optional callable ``(event_dict)`` notified of
         every attempt's start (``task``, with the ``task`` and its
         ``attempt``) and retry (``retry``) and, on the pool, of worker
-        lifecycle events — ``spawned``, ``heartbeat``, ``died`` —
-        with the worker pid and (where known) the fault index, phase
-        and exit code.  The supervisor stays transport-only; the
-        campaign runner's monitor turns these into journal events and
-        store rows.
+        lifecycle events — ``spawned``, ``heartbeat``, ``died``, and
+        ``stopped`` when the pool shuts a worker down — with the worker
+        pid and (where known) the fault index, phase and exit code.
+        The supervisor stays transport-only; the campaign runner's
+        monitor turns these into journal events and store rows.
     """
 
     def __init__(self, context, body, workers, retry=None, deadline_s=None,
@@ -334,6 +334,8 @@ class WorkerSupervisor:
             if worker.process.is_alive():
                 worker.process.kill()
                 worker.process.join(timeout=0.5)
+            self._notify("stopped", pid=worker.process.pid,
+                         exitcode=worker.process.exitcode)
 
     def _limit(self, task):
         """Seconds a worker may spend on ``task`` before the kill."""

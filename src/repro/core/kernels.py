@@ -1,238 +1,15 @@
-"""Optional compiled kernels for the ensemble hot loop.
+"""Two constants that the campaign benchmark's host record reads.
 
-The batched ensemble path spends its time in two elementwise float64
-loops: evaluating every variant's trapezoid pulse current and stepping
-the SISO state-space blocks with ``(k,)`` input columns.  Both are
-already struct-of-arrays, so an optional ``numba`` JIT gives a cheap
-speedup — but the campaign contract is *bit-identity to scalar
-execution*, which compiled code can silently break (FMA contraction,
-reassociated sums).  Three defences keep the contract:
-
-* kernels are compiled with ``fastmath=False`` and written as the
-  exact per-element expressions of their NumPy fallbacks — same
-  operations, same order;
-* the JIT path is validated at import: every kernel runs once against
-  its fallback on deterministic varied data, and any bitwise mismatch
-  disables the compiled path for the process (the fallback is always
-  correct);
-* everything degrades gracefully — without ``numba`` installed the
-  module exposes the same functions backed by NumPy, and the
-  environment variable ``REPRO_NUMBA=0`` (or ``off``/``false``)
-  forces the fallback even when ``numba`` is available.
-
-``USE_NUMBA`` reports which path is live; benchmarks surface it so a
-perf trajectory can attribute wins to the right layer.
+``perfbench/run.py`` records :data:`USE_NUMBA` and
+:data:`NUMBA_STATUS` with every run.  The ensemble hot loops
+(:func:`repro.faults.current_pulse.trapezoid_currents` and the
+ensemble branch of :meth:`repro.analog.lti.LTISystem.step_siso`) have
+one implementation, in NumPy, so the flag is always False.  The module
+goes once that record drops the two fields.
 """
 
-from __future__ import annotations
-
-import logging
-import os
-
-import numpy as np
-
-LOGGER = logging.getLogger("repro.kernels")
-
-#: True when the numba-compiled kernels are active in this process.
+#: Always False: no compiled ensemble path exists.
 USE_NUMBA = False
 
-#: Why the compiled path is on or off (for diagnostics/benchmarks).
-NUMBA_STATUS = "uninitialised"
-
-
-def _numba_requested():
-    value = os.environ.get("REPRO_NUMBA", "auto").strip().lower()
-    return value not in ("0", "off", "false", "no")
-
-
-# -- NumPy fallbacks ---------------------------------------------------------
-#
-# These are the reference implementations; the jitted kernels must
-# reproduce them bitwise.  The trapezoid fallback mirrors
-# ``TrapezoidPulse.current``'s piecewise expressions exactly (see
-# faults/current_pulse.py), the SISO fallbacks mirror
-# ``LTISystem.step_siso``'s update expressions (see analog/lti.py).
-
-
-def _trapezoid_currents_numpy(tau, pa, rt, ft, pw, duration, out):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rise = pa * tau / rt
-        fall = pa * (1.0 - (tau - pw) / ft)
-    np.copyto(
-        out,
-        np.where(
-            tau < rt,
-            rise,
-            np.where(tau < pw, pa, np.where(ft != 0.0, fall, 0.0)),
-        ),
-    )
-    np.copyto(out, np.where((tau < 0) | (tau >= duration), 0.0, out))
-    return out
-
-
-def _siso1_step_numpy(x, u, a00, b0, c00, d00, y):
-    x0 = a00 * x[0] + b0 * u
-    x[0] = x0
-    np.copyto(y, c00 * x0)
-    if d00 != 0.0:
-        np.copyto(y, y + d00 * u)
-    return y
-
-
-def _siso2_step_numpy(x, u, a00, a01, a10, a11, b0, b1, c00, c01, d00, y):
-    x0 = x[0]
-    x1 = x[1]
-    nx0 = a00 * x0 + a01 * x1 + b0 * u
-    nx1 = a10 * x0 + a11 * x1 + b1 * u
-    x[0] = nx0
-    x[1] = nx1
-    np.copyto(y, c00 * nx0 + c01 * nx1)
-    if d00 != 0.0:
-        np.copyto(y, y + d00 * u)
-    return y
-
-
-trapezoid_currents_kernel = _trapezoid_currents_numpy
-siso1_step_kernel = _siso1_step_numpy
-siso2_step_kernel = _siso2_step_numpy
-
-
-# -- numba kernels -----------------------------------------------------------
-
-
-def _build_numba_kernels():
-    """Compile the jitted kernels; raises when numba is unavailable."""
-    from numba import njit
-
-    @njit(cache=True, fastmath=False)
-    def trapezoid_jit(tau, pa, rt, ft, pw, duration, out):
-        for i in range(tau.shape[0]):
-            t = tau[i]
-            if t < 0.0 or t >= duration[i]:
-                out[i] = 0.0
-            elif t < rt[i]:
-                out[i] = pa[i] * t / rt[i]
-            elif t < pw[i]:
-                out[i] = pa[i]
-            elif ft[i] != 0.0:
-                out[i] = pa[i] * (1.0 - (t - pw[i]) / ft[i])
-            else:
-                out[i] = 0.0
-        return out
-
-    @njit(cache=True, fastmath=False)
-    def siso1_jit(x, u, a00, b0, c00, d00, y):
-        for i in range(u.shape[0]):
-            x0 = a00 * x[0, i] + b0 * u[i]
-            x[0, i] = x0
-            yi = c00 * x0
-            if d00 != 0.0:
-                yi = yi + d00 * u[i]
-            y[i] = yi
-        return y
-
-    @njit(cache=True, fastmath=False)
-    def siso2_jit(x, u, a00, a01, a10, a11, b0, b1, c00, c01, d00, y):
-        for i in range(u.shape[0]):
-            x0 = x[0, i]
-            x1 = x[1, i]
-            nx0 = a00 * x0 + a01 * x1 + b0 * u[i]
-            nx1 = a10 * x0 + a11 * x1 + b1 * u[i]
-            x[0, i] = nx0
-            x[1, i] = nx1
-            yi = c00 * nx0 + c01 * nx1
-            if d00 != 0.0:
-                yi = yi + d00 * u[i]
-            y[i] = yi
-        return y
-
-    return trapezoid_jit, siso1_jit, siso2_jit
-
-
-def _self_check(trapezoid_jit, siso1_jit, siso2_jit):
-    """Bitwise-compare every jitted kernel against its NumPy fallback.
-
-    Deterministic varied data (negative taus, zero fall times, exact
-    branch boundaries, denormal-ish magnitudes) so a compiler that
-    contracts ``a*b + c`` into an FMA — or reorders anything — is
-    caught here rather than in a campaign equivalence test.
-    """
-    rng = np.random.default_rng(20260808)
-    k = 97
-    tau = np.concatenate(
-        [rng.uniform(-1e-9, 2e-9, k - 4), [0.0, 1e-10, 5e-10, 1e-9]]
-    )
-    pa = rng.uniform(-1e-2, 1e-2, k)
-    rt = rng.uniform(1e-11, 2e-10, k)
-    ft = rng.uniform(0.0, 3e-10, k)
-    ft[::7] = 0.0
-    pw = rt + rng.uniform(1e-11, 5e-10, k)
-    duration = pw + ft
-
-    out_np = np.empty(k)
-    out_jit = np.empty(k)
-    _trapezoid_currents_numpy(tau, pa, rt, ft, pw, duration, out_np)
-    trapezoid_jit(tau, pa, rt, ft, pw, duration, out_jit)
-    if out_np.tobytes() != out_jit.tobytes():
-        return "trapezoid kernel mismatch"
-
-    u = rng.uniform(-1.0, 1.0, k)
-    coeffs = rng.uniform(-1.5, 1.5, 10)
-    for d00 in (0.0, coeffs[9]):
-        x_np = rng.uniform(-1.0, 1.0, (1, k))
-        x_jit = x_np.copy()
-        y_np, y_jit = np.empty(k), np.empty(k)
-        _siso1_step_numpy(x_np, u, coeffs[0], coeffs[4], coeffs[6], d00, y_np)
-        siso1_jit(x_jit, u, coeffs[0], coeffs[4], coeffs[6], d00, y_jit)
-        if (
-            y_np.tobytes() != y_jit.tobytes()
-            or x_np.tobytes() != x_jit.tobytes()
-        ):
-            return "siso1 kernel mismatch"
-
-        x_np = rng.uniform(-1.0, 1.0, (2, k))
-        x_jit = x_np.copy()
-        _siso2_step_numpy(
-            x_np, u, coeffs[0], coeffs[1], coeffs[2], coeffs[3],
-            coeffs[4], coeffs[5], coeffs[6], coeffs[7], d00, y_np,
-        )
-        siso2_jit(
-            x_jit, u, coeffs[0], coeffs[1], coeffs[2], coeffs[3],
-            coeffs[4], coeffs[5], coeffs[6], coeffs[7], d00, y_jit,
-        )
-        if (
-            y_np.tobytes() != y_jit.tobytes()
-            or x_np.tobytes() != x_jit.tobytes()
-        ):
-            return "siso2 kernel mismatch"
-    return None
-
-
-def _initialise():
-    global USE_NUMBA, NUMBA_STATUS
-    global trapezoid_currents_kernel, siso1_step_kernel, siso2_step_kernel
-    if not _numba_requested():
-        NUMBA_STATUS = "disabled by REPRO_NUMBA"
-        return
-    try:
-        kernels = _build_numba_kernels()
-    except ImportError:
-        NUMBA_STATUS = "numba not installed"
-        return
-    except Exception as exc:  # pragma: no cover - compiler-side failures
-        NUMBA_STATUS = f"numba compilation failed: {exc}"
-        LOGGER.warning("numba kernels unavailable: %s", exc)
-        return
-    failure = _self_check(*kernels)
-    if failure is not None:  # pragma: no cover - toolchain dependent
-        NUMBA_STATUS = f"self-check failed: {failure}"
-        LOGGER.warning(
-            "numba kernels disabled (bit-identity self-check): %s", failure
-        )
-        return
-    trapezoid_currents_kernel, siso1_step_kernel, siso2_step_kernel = kernels
-    USE_NUMBA = True
-    NUMBA_STATUS = "active"
-
-
-_initialise()
+#: Why :data:`USE_NUMBA` is False.
+NUMBA_STATUS = "not used: NumPy is the only ensemble path"

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import kernels as _kernels
 from ..core.errors import FaultModelError
 from ..core.units import format_quantity, parse_quantity
 from .models import AnalogTransient, check_positive
@@ -74,20 +73,6 @@ class TrapezoidPulse(AnalogTransient):
         if tau < self.pw:
             return self.pa
         return self.pa * (1.0 - (tau - self.pw) / self.ft) if self.ft else 0.0
-
-    def current_batch(self, tau):
-        """Vectorized :meth:`current` over an array of offsets.
-
-        Bitwise identical to calling :meth:`current` per element (the
-        branches become selections and the arithmetic is the same
-        elementwise IEEE-754 expression), which is what lets ensemble
-        campaign batches evaluate every variant's pulse at once
-        without perturbing results.
-        """
-        tau = np.asarray(tau, dtype=float)
-        return trapezoid_currents(
-            tau, self.pa, self.rt, self.ft, self.pw, self.duration
-        )
 
     def charge(self, n=None):
         """Closed-form charge: ``PA * (PW - RT/2 + FT/2)``."""
@@ -177,26 +162,9 @@ def trapezoid_currents(tau, pa, rt, ft, pw, duration):
     batch variant).  Each element evaluates exactly the scalar
     method's expression for its selected branch, so results are
     bit-identical to the scalar piecewise evaluation; out-of-support
-    elements are exactly ``0.0``.
-
-    The struct-of-arrays case — every argument a float64 array of the
-    same 1-D shape, which is what the ensemble saboteur plan passes
-    per solver step — dispatches to the optional compiled kernel (see
-    :mod:`repro.core.kernels`); its import-time self-check guarantees
-    the jitted loop is bitwise identical to this fallback.
+    elements are exactly ``0.0``.  The ensemble saboteur plan calls it
+    once per solver step with every variant's parameters.
     """
-    if _kernels.USE_NUMBA and isinstance(tau, np.ndarray) and tau.ndim == 1:
-        args = (pa, rt, ft, pw, duration)
-        if all(
-            isinstance(a, np.ndarray)
-            and a.shape == tau.shape
-            and a.dtype == np.float64
-            for a in args
-        ) and tau.dtype == np.float64:
-            out = np.empty_like(tau)
-            return _kernels.trapezoid_currents_kernel(
-                tau, pa, rt, ft, pw, duration, out
-            )
     with np.errstate(divide="ignore", invalid="ignore"):
         rise = pa * tau / rt
         fall = pa * (1.0 - (tau - pw) / ft)

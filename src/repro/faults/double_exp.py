@@ -100,23 +100,6 @@ class DoubleExponentialPulse(AnalogTransient):
             return 0.0
         return self.i0 * (math.exp(-tau / self.tau_f) - math.exp(-tau / self.tau_r))
 
-    def current_batch(self, tau):
-        """Vectorized :meth:`current` over an array of offsets.
-
-        .. caution:: ``np.exp`` and ``math.exp`` may differ in the
-           last ULP, so this is *numerically* but not *bitwise*
-           equivalent to elementwise :meth:`current` calls.  It is
-           meant for waveform construction and fitting (Figures 1b/7);
-           ensemble campaign batches therefore evaluate
-           double-exponential variants with the scalar method to
-           preserve their bit-identity contract.
-        """
-        import numpy as np
-
-        tau = np.asarray(tau, dtype=float)
-        wave = self.i0 * (np.exp(-tau / self.tau_f) - np.exp(-tau / self.tau_r))
-        return np.where(tau < 0, 0.0, wave)
-
     def suggested_dt(self, points_per_edge=8):
         """A step resolving the rise time constant."""
         return self.tau_r / points_per_edge

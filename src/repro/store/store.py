@@ -845,8 +845,8 @@ class CampaignStore(StoreBackend):
         """Upsert one supervised worker's liveness row.
 
         Called by the campaign parent on worker lifecycle events
-        (spawn, heartbeat, death); ``campaign status`` and ``campaign
-        watch`` render the result as the workers section.
+        (spawn, heartbeat, death, stop); ``campaign status`` and
+        ``campaign watch`` render the result as the workers section.
         """
         now = _now()
         cursor = self._conn.execute(

@@ -141,3 +141,41 @@ class TestStateManagement:
         pair1 = sys_.discretize(1e-6)
         pair2 = sys_.discretize(1e-6)
         assert pair1 is pair2
+
+
+def _siso_systems():
+    """1- and 2-state SISO systems, with and without feedthrough."""
+    w = 2 * np.pi * 1e5
+    wn, zeta = 2 * np.pi * 2e5, 0.4
+    first = dict(a=[[-w]], b=[[w * 1.5]], c=[[1.0]])
+    second = dict(a=[[0.0, 1.0], [-wn * wn, -2 * zeta * wn]],
+                  b=[[0.0], [wn * wn]], c=[[1.0, -0.5]])
+    return {
+        "1-state": first,
+        "1-state-feedthrough": dict(first, d=[[0.25]]),
+        "2-states": second,
+        "2-states-feedthrough": dict(second, d=[[-0.3]]),
+    }
+
+
+class TestEnsembleStep:
+    @pytest.mark.parametrize("name", sorted(_siso_systems()))
+    def test_promoted_step_matches_scalar_copies(self, name):
+        """``step_siso`` on a state promoted to k columns, with a
+        ``(k,)`` input, is bitwise k scalar copies stepped one by one."""
+        matrices = _siso_systems()[name]
+        rng = np.random.default_rng(11)
+        k = 17
+        x0 = rng.uniform(-1.0, 1.0, len(matrices["a"]))
+        ensemble = LTISystem(x0=x0, **matrices)
+        copies = [LTISystem(x0=x0, **matrices) for _ in range(k)]
+        assert ensemble.siso_fast
+        ensemble.promote_state(k)
+        for dt in (1e-7, 2.5e-7, 0.0, 1e-7, 4e-8):
+            u = rng.uniform(-1.0, 1.0, k)
+            y = ensemble.step_siso(u, dt)
+            expected = np.array([copy.step_siso(float(uj), dt)
+                                 for copy, uj in zip(copies, u)])
+            assert y.tobytes() == expected.tobytes()
+            states = np.stack([copy.x for copy in copies], axis=1)
+            assert ensemble.x.tobytes() == states.tobytes()

@@ -302,7 +302,7 @@ class TestWorkerTelemetry:
         assert all(e["worker_pid"] in pids for e in started)
         # Worker rows landed in the store, one per spawned pid.
         assert sorted(r["pid"] for r in rows) == sorted(pids)
-        assert all(r["state"] == "alive" for r in rows)
+        assert all(r["state"] == "stopped" for r in rows)
 
     def test_worker_rows_written_on_lifecycle_not_per_task(self, tmp_path):
         """Spawn, heartbeat and death write worker rows; a task does
@@ -326,7 +326,27 @@ class TestWorkerTelemetry:
             rows = store.worker_rows("rows")
         assert len(result.runs) == 40
         assert store.worker_writes < len(result.runs)
-        assert rows and all(row["state"] == "alive" for row in rows)
+        assert rows and all(row["state"] == "stopped" for row in rows)
+
+    def test_sampled_pool_campaign_leaves_no_alive_worker_row(self, tmp_path):
+        """Each chunk's batch pass and scalar pass start their own
+        workers; every one of them ends the campaign stopped."""
+        faults = exhaustive_bitflips(
+            [f"top/counter.q[{i}]" for i in range(4)],
+            [33e-9 + 10e-9 * k for k in range(15)],
+        )
+        spec = CampaignSpec(name="pool", faults=faults, t_end=200e-9,
+                            outputs=["parity"])
+        with CampaignStore(tmp_path / "c.sqlite") as store:
+            result = run_campaign(
+                factory, spec, sample=True, margin=0.1, chunk=10,
+                warm_start=True, batch="digital", workers=2,
+                on_error="collect", store=store,
+            )
+            rows = store.worker_rows("pool")
+        assert result.execution["sampling"]["chunks"] >= 2
+        assert rows
+        assert [row for row in rows if row["state"] == "alive"] == []
 
     def test_dead_worker_row_records_exit(self, tmp_path):
         def killer(design, fault):

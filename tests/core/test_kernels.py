@@ -1,22 +1,16 @@
-"""The optional compiled kernels and their bit-identity defences.
+"""The NumPy ensemble kernel for trapezoid currents, bit for bit.
 
-Three layers under test: the NumPy fallbacks reproduce the scalar
-per-element expressions bitwise (the batched-vs-scalar contract), the
-``REPRO_NUMBA`` environment gate works, and — when numba happens to be
-installed — the jitted kernels pass the same bitwise self-check the
-module runs at import.
+:func:`repro.faults.current_pulse.trapezoid_currents` is the one
+implementation of the trapezoid ensemble hot loop.  Evaluated with
+every pulse parameter broadcast over many offsets, it must reproduce
+the scalar :meth:`TrapezoidPulse.current` bitwise (the
+batched-vs-scalar contract), zero fall times included.
 """
 
 import numpy as np
-import pytest
 
-from repro.core import kernels
 from repro.faults import TrapezoidPulse
-
-HAVE_NUMBA = kernels.NUMBA_STATUS not in (
-    "numba not installed",
-    "disabled by REPRO_NUMBA",
-)
+from repro.faults.current_pulse import trapezoid_currents
 
 
 def varied_taus(pulse, n=64):
@@ -28,21 +22,24 @@ def varied_taus(pulse, n=64):
     )
 
 
+def broadcast_currents(pulse, tau):
+    """``trapezoid_currents`` with each parameter as a per-offset array."""
+    return trapezoid_currents(
+        tau,
+        np.full_like(tau, pulse.pa),
+        np.full_like(tau, pulse.rt),
+        np.full_like(tau, pulse.ft),
+        np.full_like(tau, pulse.pw),
+        np.full_like(tau, pulse.duration),
+    )
+
+
 class TestNumpyFallbacks:
     def test_trapezoid_fallback_matches_scalar(self):
-        """The vector fallback is the scalar piecewise expression."""
+        """The vector kernel is the scalar piecewise expression."""
         pulse = TrapezoidPulse(pa=1e-3, rt=1e-10, ft=3e-10, pw=5e-10)
         tau = varied_taus(pulse)
-        out = np.empty_like(tau)
-        kernels._trapezoid_currents_numpy(
-            tau,
-            np.full_like(tau, pulse.pa),
-            np.full_like(tau, pulse.rt),
-            np.full_like(tau, pulse.ft),
-            np.full_like(tau, pulse.pw),
-            np.full_like(tau, pulse.duration),
-            out,
-        )
+        out = broadcast_currents(pulse, tau)
         expected = np.array([pulse.current(t) for t in tau])
         assert out.tobytes() == expected.tobytes()
 
@@ -50,87 +47,7 @@ class TestNumpyFallbacks:
         """ft=0 must select 0.0, not divide-by-zero garbage."""
         pulse = TrapezoidPulse(pa=1e-3, rt=1e-10, ft=0.0, pw=5e-10)
         tau = varied_taus(pulse)
-        out = np.empty_like(tau)
-        kernels._trapezoid_currents_numpy(
-            tau,
-            np.full_like(tau, pulse.pa),
-            np.full_like(tau, pulse.rt),
-            np.full_like(tau, pulse.ft),
-            np.full_like(tau, pulse.pw),
-            np.full_like(tau, pulse.duration),
-            out,
-        )
+        out = broadcast_currents(pulse, tau)
         expected = np.array([pulse.current(t) for t in tau])
         assert out.tobytes() == expected.tobytes()
         assert np.all(np.isfinite(out))
-
-    def test_siso1_fallback_matches_scalar_expressions(self):
-        rng = np.random.default_rng(11)
-        k = 33
-        a00, b0, c00, d00 = 0.75, 0.125, 1.5, 0.25
-        x = rng.uniform(-1.0, 1.0, (1, k))
-        u = rng.uniform(-1.0, 1.0, k)
-        expect_x = a00 * x[0] + b0 * u
-        expect_y = c00 * expect_x + d00 * u
-        y = np.empty(k)
-        kernels._siso1_step_numpy(x, u, a00, b0, c00, d00, y)
-        assert x[0].tobytes() == expect_x.tobytes()
-        assert y.tobytes() == expect_y.tobytes()
-
-    def test_siso2_fallback_matches_scalar_expressions(self):
-        rng = np.random.default_rng(13)
-        k = 33
-        a00, a01, a10, a11 = 0.9, -0.1, 0.05, 0.8
-        b0, b1, c00, c01 = 0.2, 0.3, 1.0, -0.5
-        x = rng.uniform(-1.0, 1.0, (2, k))
-        u = rng.uniform(-1.0, 1.0, k)
-        nx0 = a00 * x[0] + a01 * x[1] + b0 * u
-        nx1 = a10 * x[0] + a11 * x[1] + b1 * u
-        expect_y = c00 * nx0 + c01 * nx1
-        y = np.empty(k)
-        kernels._siso2_step_numpy(
-            x, u, a00, a01, a10, a11, b0, b1, c00, c01, 0.0, y
-        )
-        assert x[0].tobytes() == nx0.tobytes()
-        assert x[1].tobytes() == nx1.tobytes()
-        assert y.tobytes() == expect_y.tobytes()
-
-
-class TestNumbaGate:
-    def test_status_and_flag_agree(self):
-        assert kernels.USE_NUMBA == (kernels.NUMBA_STATUS == "active")
-
-    def test_env_gate_parsing(self, monkeypatch):
-        for value in ("0", "off", "false", "no", " OFF "):
-            monkeypatch.setenv("REPRO_NUMBA", value)
-            assert not kernels._numba_requested()
-        for value in ("auto", "1", "on", ""):
-            monkeypatch.setenv("REPRO_NUMBA", value)
-            assert kernels._numba_requested()
-        monkeypatch.delenv("REPRO_NUMBA")
-        assert kernels._numba_requested()
-
-    def test_fallbacks_always_importable(self):
-        """With or without numba, the module exposes working kernels."""
-        tau = np.array([1e-10])
-        out = np.empty(1)
-        kernels.trapezoid_currents_kernel(
-            tau, np.array([1e-3]), np.array([2e-10]), np.array([1e-10]),
-            np.array([4e-10]), np.array([5e-10]), out,
-        )
-        assert out[0] == 1e-3 * 1e-10 / 2e-10
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not available")
-class TestJittedKernels:
-    def test_self_check_passes(self):
-        """The import-time bitwise self-check holds for this toolchain."""
-        jits = kernels._build_numba_kernels()
-        assert kernels._self_check(*jits) is None
-
-    def test_active_kernels_are_jitted(self):
-        if not kernels.USE_NUMBA:
-            pytest.skip(f"compiled path off: {kernels.NUMBA_STATUS}")
-        assert kernels.trapezoid_currents_kernel is not (
-            kernels._trapezoid_currents_numpy
-        )

@@ -13,6 +13,8 @@ pins down what the fleet tests cannot force:
   :func:`~repro.dist.plan_shards`' slices, so provisional rows written
   from that plan are adopted by a resumed coordinator;
 * a resumed sampled job adopts complete chunks the same way;
+* a lease revoked on heartbeat silence or on its wall ceiling
+  requeues its shard, and its holder's late frames write nothing;
 * everything a resume needs — job ids, parameters, shard states and
   lease counts — comes back from the store alone.
 """
@@ -89,9 +91,9 @@ def shard_frames(shard):
 class HandWorker:
     """One worker connection whose every frame the test sends itself."""
 
-    def __init__(self, address):
+    def __init__(self, address, name="hand-worker"):
         self.conn = connect(*address)
-        self.conn.send("hello", role="worker", name="hand-worker")
+        self.conn.send("hello", role="worker", name=name)
         assert self.conn.recv(timeout=10)["frame"] == "welcome"
 
     def lease(self):
@@ -368,6 +370,86 @@ class TestLeaseCeiling:
             assert coordinator.resume() == []
         finally:
             coordinator.stop()
+
+
+class TestLeaseExpiry:
+    """Both clocks of a connected worker's lease: heartbeat silence,
+    and the wall ceiling that heartbeats do not extend."""
+
+    LIMITS = {
+        "heartbeat-silence": {"lease_timeout_s": 0.5},
+        "wall-deadline": {"lease_timeout_s": 5.0, "lease_wall_s": 0.5},
+    }
+
+    @pytest.mark.parametrize("reason", sorted(LIMITS))
+    def test_expired_lease_requeues_and_late_frames_write_nothing(
+        self, tmp_path, serial_rows, reason
+    ):
+        spec = make_spec()
+        store_path = tmp_path / "dist.db"
+        journal_path = tmp_path / "journal.jsonl"
+        # One shard, so the expired shard is the next one granted.
+        coordinator = Coordinator(str(store_path),
+                                  shard_size=len(spec.faults),
+                                  **self.LIMITS[reason])
+        first = second = None
+        open_journal(str(journal_path))
+        try:
+            job = coordinator.submit(spec)
+            coordinator.start()
+            first = HandWorker(coordinator.address, name="first")
+            shard, token = first.lease()
+            deadline = time.monotonic() + 10
+            while coordinator.job_status(job)["queued"] == 0:
+                assert time.monotonic() < deadline, "lease never expired"
+                if reason == "wall-deadline":
+                    first.conn.send("heartbeat", token=token, done=0,
+                                    phase="running")
+                time.sleep(0.05)
+            requeued = coordinator.job_status(job)
+            with CampaignStore(str(store_path)) as store:
+                (queued_row,) = store.shard_rows(spec.name)
+            # The second holder must not race the short limits.
+            coordinator.lease_timeout_s = 300.0
+            coordinator.lease_wall_s = None
+            rows, complete = shard_frames(shard)
+            second = HandWorker(coordinator.address, name="second")
+            again, second_token = second.lease()
+            first.deliver(token, rows, complete)
+            first.conn.send("status_request", job=job)
+            late = first.conn.recv(timeout=10)
+            late_rows = store_rows(store_path, spec.name)
+            second.deliver(second_token, rows, complete)
+            status = coordinator.wait(job, timeout=30)
+        finally:
+            close_journal()
+            for worker in (first, second):
+                if worker is not None:
+                    worker.close()
+            coordinator.stop()
+        with open(journal_path) as handle:
+            events = [json.loads(line) for line in handle if line.strip()]
+        expired = [(event["shard"], event["worker"], event["reason"])
+                   for event in events if event["event"] == "lease_expired"]
+        assert expired == [(0, "first", reason)]
+        names = [event["event"] for event in events]
+        beats = names[:names.index("lease_expired")].count("worker_heartbeat")
+        assert (beats > 0) == (reason == "wall-deadline")
+        assert (requeued["queued"], requeued["active"]) == (1, [])
+        assert (queued_row["state"], queued_row["leases"]) == ("queued", 1)
+        assert again.indices == shard.indices
+        assert second_token == f"{job}:0:2"
+        assert [(event["worker"], event["lease"]) for event in events
+                if event["event"] == "shard_leased"] \
+            == [("first", 1), ("second", 2)]
+        assert (late["rows"], late["active"], late["merged"]) == (0, [0], 0)
+        assert late_rows == []
+        assert status["state"] == "complete"
+        assert identity(store_rows(store_path, spec.name)) \
+            == identity(serial_rows)
+        with CampaignStore(str(store_path)) as store:
+            (merged_row,) = store.shard_rows(spec.name)
+        assert (merged_row["state"], merged_row["leases"]) == ("merged", 2)
 
 
 class TestResumeFromStore:

@@ -10,6 +10,7 @@ from repro.core import Simulator
 from repro.core.budget import RunBudget
 from repro.core.errors import FaultModelError
 from repro.faults import FIGURE6_PULSE, FIGURE8_PULSES, TrapezoidPulse
+from repro.faults.current_pulse import stack_trapezoids, trapezoid_currents
 from repro.injection import CurrentPulseSaboteur
 
 
@@ -70,6 +71,29 @@ class TestWaveform:
         arr = p.current_array(taus)
         for tau, value in zip(taus, arr):
             assert value == p.current(float(tau))
+
+    def test_ensemble_currents_match_scalar_per_variant(self):
+        """``trapezoid_currents`` over ``stack_trapezoids`` arrays, one
+        offset per variant, is bitwise ``current`` for every variant,
+        at every corner and on every segment, zero fall times included."""
+        rng = np.random.default_rng(7)
+        pulses, taus = [], []
+        for i in range(24):
+            rt = rng.uniform(1e-11, 2e-10)
+            pulse = TrapezoidPulse(
+                pa=(-1) ** i * rng.uniform(1e-5, 1e-2), rt=rt,
+                ft=0.0 if i % 3 == 0 else rng.uniform(1e-11, 3e-10),
+                pw=rt + rng.uniform(1e-11, 5e-10),
+            )
+            corners = [-1e-12, 0.0, pulse.rt, pulse.pw, pulse.duration]
+            inside = rng.uniform(-0.2, 1.2, 4) * pulse.duration
+            for tau in corners + list(inside):
+                pulses.append(pulse)
+                taus.append(float(tau))
+        out = trapezoid_currents(np.array(taus), **stack_trapezoids(pulses))
+        expected = np.array([p.current(t) for p, t in zip(pulses, taus)])
+        assert out.tobytes() == expected.tobytes()
+        assert np.all(np.isfinite(out))
 
     @settings(max_examples=40, deadline=None)
     @given(
