@@ -7,8 +7,12 @@ update scheduled while processing time *t* runs later within the same
 timestamp, never "in the past".
 
 Insertion order is materialised as a monotonically increasing sequence
-number.  Checkpoint/warm-start support (see
-:mod:`repro.core.snapshot`) adds two refinements:
+number, and the heap holds ``(time, priority, seq, event)`` tuples, so
+every heap compare runs in C.  Only this module knows that layout; the
+rest of the kernel dispatches through :meth:`EventQueue.dispatch` and
+reads pending events through :meth:`EventQueue.pending`.
+Checkpoint/warm-start support (see :mod:`repro.core.snapshot`) adds two
+refinements:
 
 * the counter is a plain integer (`next_seq`) so a snapshot can record
   and restore it, keeping replayed runs sequence-identical with an
@@ -18,14 +22,16 @@ number.  Checkpoint/warm-start support (see
   recorded mark.  A fault applied after restoring a mid-run snapshot
   then sorts exactly where it would have in a cold run — after all
   elaboration-time events but before every event scheduled while the
-  simulation was running.
+  simulation was running.  The band counter runs on across bands (and
+  is captured and restored with the heap), so every seq is unique and
+  a heap compare never reaches the event objects.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .errors import SchedulingError
+from .errors import SchedulingError, SimulationError
 
 #: Priority classes.  Analog solver steps run *before* ordinary digital
 #: activity at the same timestamp so that digital processes sampling
@@ -36,19 +42,19 @@ PRIORITY_MONITOR = 2
 
 #: Spacing of fractional sequence numbers inside an epoch band.  The
 #: band spans half a unit below the mark, so up to ``0.5 / _EPOCH_STEP``
-#: events fit before the band would leak into normal sequence space.
+#: band events fit (between restores) before the band would leak into
+#: normal sequence space.
 _EPOCH_STEP = 2.0 ** -20
 
 
 class Event:
     """A scheduled callback.  Cancellable via :meth:`cancel`."""
 
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled")
+    __slots__ = ("time", "priority", "callback", "cancelled")
 
-    def __init__(self, time, priority, seq, callback):
+    def __init__(self, time, priority, callback):
         self.time = time
         self.priority = priority
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
 
@@ -56,29 +62,25 @@ class Event:
         """Prevent the callback from running; safe to call repeatedly."""
         self.cancelled = True
 
-    def __lt__(self, other):
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self):
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6g} prio={self.priority} {state}>"
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` objects keyed by (time, priority, seq)."""
+    """Min-heap of ``(time, priority, seq, event)`` entries."""
 
     def __init__(self):
         self._heap = []
         self._next_seq = 0
-        self._epoch = None
+        #: Base of the open epoch band, or None outside one.
+        self._band = None
+        #: Band seqs handed out since the last restore, across bands.
+        self._band_count = 0
         self.executed = 0
 
     def __len__(self):
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     # -- sequence numbering ------------------------------------------------
 
@@ -93,31 +95,31 @@ class EventQueue:
         Events pushed inside the epoch order after everything pushed
         before ``mark`` and before everything pushed after it — the
         slot a fault-injection event occupies when it is applied
-        between elaboration and the run.
+        between elaboration and the run.  A later band continues where
+        the previous one stopped, so two bands' events keep their
+        insertion order.
         """
-        self._epoch = [float(mark) - 0.5, 0]
+        self._band = float(mark) - 0.5
 
     def end_epoch(self):
         """Return to normal integer sequence numbering."""
-        self._epoch = None
-
-    def _take_seq(self):
-        if self._epoch is not None:
-            base, n = self._epoch
-            if (n + 1) * _EPOCH_STEP >= 0.5:
-                raise SchedulingError("epoch sequence band exhausted")
-            self._epoch[1] = n + 1
-            return base + n * _EPOCH_STEP
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
+        self._band = None
 
     # -- scheduling --------------------------------------------------------
 
     def push(self, time, callback, priority=PRIORITY_NORMAL):
         """Schedule ``callback`` at absolute ``time``; returns the Event."""
-        event = Event(time, priority, self._take_seq(), callback)
-        heapq.heappush(self._heap, event)
+        if self._band is None:
+            seq = self._next_seq
+            self._next_seq = seq + 1
+        else:
+            n = self._band_count
+            if (n + 1) * _EPOCH_STEP >= 0.5:
+                raise SchedulingError("epoch sequence band exhausted")
+            self._band_count = n + 1
+            seq = self._band + n * _EPOCH_STEP
+        event = Event(time, priority, callback)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
     def peek_time(self):
@@ -125,7 +127,7 @@ class EventQueue:
         self._drop_cancelled()
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def pop(self):
         """Remove and return the next live event.
@@ -136,40 +138,94 @@ class EventQueue:
         if not self._heap:
             raise SchedulingError("event queue is empty")
         self.executed += 1
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[3]
 
     def _drop_cancelled(self):
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
+
+    def dispatch(self, sim, until, inclusive=True):
+        """Run every live event due by ``until``, in heap order.
+
+        The kernel's event loop: :meth:`peek_time`, :meth:`pop` and the
+        clock update fused into one loop, with ``sim.now`` advanced to
+        each event's time before its callback runs.  With ``inclusive``
+        False, events at exactly ``until`` stay pending.
+
+        :raises SimulationError: for an event behind ``sim.now``.
+        """
+        heap = self._heap
+        heappop = heapq.heappop
+        executed = 0
+        try:
+            while heap:
+                time, _priority, _seq, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    continue
+                if time > until or (time == until and not inclusive):
+                    break
+                heappop(heap)
+                executed += 1
+                now = sim.now
+                if time > now:
+                    sim.now = time
+                elif time < now - 1e-18:
+                    raise SimulationError(
+                        f"event at {time} behind current time {now}"
+                    )
+                event.callback()
+        finally:
+            self.executed += executed
 
     def clear(self):
         """Drop every pending event."""
         self._heap.clear()
 
+    def pending(self, state=None):
+        """Live events in dispatch order.
+
+        Reads the live heap, or a :meth:`capture` ``state`` with the
+        cancelled flags it recorded.
+        """
+        if state is None:
+            live = [entry for entry in self._heap if not entry[3].cancelled]
+        else:
+            live = [entry for entry, cancelled in zip(state[0], state[1])
+                    if not cancelled]
+        live.sort()
+        return [entry[3] for entry in live]
+
     # -- checkpoint support ------------------------------------------------
 
     def capture(self):
-        """Snapshot of the pending heap: (events, cancelled flags, seq).
+        """Snapshot of the pending heap: (entries, cancelled flags, seq,
+        band count).
 
         The event objects themselves are shared with the live heap;
         only the list and the mutable ``cancelled`` flags are copied.
         """
-        events = list(self._heap)
-        return events, [event.cancelled for event in events], self._next_seq
+        entries = list(self._heap)
+        return (
+            entries,
+            [entry[3].cancelled for entry in entries],
+            self._next_seq,
+            self._band_count,
+        )
 
     def restore(self, state):
-        """Reinstall a heap captured with :meth:`capture`.
+        """Reinstall a heap captured with :meth:`capture`, in place.
 
         Events created after the capture are dropped; cancelled flags
         revert to their captured values.  The ``executed`` counter is
         *not* rewound — it counts real work done, across restores.
         """
-        events, flags, next_seq = state
-        for event, flag in zip(events, flags):
-            event.cancelled = flag
+        entries, flags, self._next_seq, self._band_count = state
+        for entry, flag in zip(entries, flags):
+            entry[3].cancelled = flag
         # The captured list was heap-ordered when taken, so it can be
-        # reinstalled verbatim.
-        self._heap = list(events)
-        self._next_seq = next_seq
-        self._epoch = None
+        # reinstalled verbatim; in place, so a list bound by a running
+        # dispatch loop stays the live heap.
+        self._heap[:] = entries
+        self._band = None

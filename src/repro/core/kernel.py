@@ -532,20 +532,7 @@ class Simulator:
         if self.budget is not None and not self.budget.empty:
             return self._run_budgeted(until, inclusive)
         self.analog.start()
-        queue = self._queue
-        while True:
-            t_next = queue.peek_time()
-            if t_next is None or t_next > until:
-                break
-            if not inclusive and t_next >= until:
-                break
-            event = queue.pop()
-            if event.time < self.now - 1e-18:
-                raise SimulationError(
-                    f"event at {event.time} behind current time {self.now}"
-                )
-            self.now = max(self.now, event.time)
-            event.callback()
+        self._queue.dispatch(self, until, inclusive)
         self.now = until
 
     #: Events between wall-clock budget checks in the budgeted loop; a
@@ -555,8 +542,9 @@ class Simulator:
     def _run_budgeted(self, until, inclusive):
         """The budget-enforcing event loop (see :class:`RunBudget`).
 
-        Identical semantics to :meth:`_run_loop` plus per-iteration
-        resource checks.  Event and step ceilings are compared every
+        Identical semantics to :meth:`_run_loop` (whose loop is
+        :meth:`EventQueue.dispatch`) plus per-iteration resource
+        checks.  Event and step ceilings are compared every
         iteration (one integer compare each); the wall clock is read
         every :data:`_WALL_CHECK_STRIDE` events so a tight event storm
         cannot make ``perf_counter`` itself the hot path.

@@ -51,11 +51,11 @@ class Logic(enum.IntEnum):
 
     def is_high(self):
         """True when this level reads as logic 1 (``1`` or ``H``)."""
-        return self in (Logic.L1, Logic.WH)
+        return _IS_HIGH[self]
 
     def is_low(self):
         """True when this level reads as logic 0 (``0`` or ``L``)."""
-        return self in (Logic.L0, Logic.WL)
+        return _IS_LOW[self]
 
     def is_defined(self):
         """True when the value reads as a definite 0 or 1."""
@@ -74,11 +74,7 @@ class Logic(enum.IntEnum):
 
     def to_x01(self):
         """Strength-strip to the three-value subset {0, 1, X}."""
-        if self.is_high():
-            return Logic.L1
-        if self.is_low():
-            return Logic.L0
-        return Logic.X
+        return _X01[self]
 
     def invert(self):
         """Nine-value logical NOT."""
@@ -99,6 +95,15 @@ _TO_CHAR = {
 
 _FROM_CHAR = {char: level for level, char in _TO_CHAR.items()}
 _FROM_CHAR.update({char.lower(): level for level, char in _TO_CHAR.items()})
+
+#: Per-level predicate and strength-strip tables, indexed by level, so
+#: the hot predicates are one tuple lookup each.
+_IS_HIGH = tuple(level in (Logic.L1, Logic.WH) for level in Logic)
+_IS_LOW = tuple(level in (Logic.L0, Logic.WL) for level in Logic)
+_X01 = tuple(
+    Logic.L1 if high else Logic.L0 if low else Logic.X
+    for high, low in zip(_IS_HIGH, _IS_LOW)
+)
 
 
 #: Convenient aliases used throughout the digital library.
@@ -244,7 +249,7 @@ def logic_xnor(a, b):
 
 def logic_buf(a):
     """Nine-value buffer (strength strip)."""
-    return logic(a).to_x01()
+    return _X01[logic(a)]
 
 
 def flip(a):

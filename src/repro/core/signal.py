@@ -44,7 +44,18 @@ class Driver:
         a caller may cancel — the hook inertial-delay models use to
         swallow glitches shorter than their propagation delay.
         """
-        return self.signal._schedule_driver_update(self, value, delay)
+        signal = self.signal
+        if delay < 0:
+            raise SimulationError(
+                f"negative delay {delay} driving signal {signal.name}"
+            )
+
+        def apply():
+            self.value = value
+            signal._refresh()
+
+        sim = signal.sim
+        return sim._queue.push(sim.now + delay, apply)
 
     def __repr__(self):
         return f"<Driver of {self.signal.name} = {self.value!r}>"
@@ -134,18 +145,6 @@ class Signal:
         if self._default_driver is None:
             self._default_driver = self.driver(owner="<default>")
         self._default_driver.set(value, delay)
-
-    def _schedule_driver_update(self, drv, value, delay):
-        if delay < 0:
-            raise SimulationError(
-                f"negative delay {delay} driving signal {self.name}"
-            )
-
-        def apply():
-            drv.value = value
-            self._refresh()
-
-        return self.sim.schedule(delay, apply)
 
     def _refresh(self):
         if len(self._drivers) == 1:

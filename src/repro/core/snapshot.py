@@ -15,8 +15,9 @@ faulty waveforms sample by sample.  Three details make that work:
 * event objects are shared between the snapshot and the live heap, so
   callbacks keep their closed-over references; the snapshot only
   restores the heap membership and the mutable ``cancelled`` flags;
-* the event sequence counter is restored, so replayed events receive
-  the same insertion order they had in the original run; and
+* the event sequence counters (normal and injection band) are
+  restored, so replayed events receive the same insertion order they
+  had in the original run; and
 * traces are truncated *in place* (the sample buffers survive), so
   bound-method fast paths and probe listeners stay valid.
 
@@ -284,15 +285,9 @@ class Snapshot:
         for proc, pending in zip(self.processes, self.process_states):
             if proc.pending != pending:
                 return False
-        events, flags, _next_seq = self.queue_state
-        order = lambda event: (event.time, event.priority, event.seq)
-        captured = sorted(
-            (e for e, cancelled in zip(events, flags) if not cancelled),
-            key=order,
-        )
-        live_events = sorted(
-            (e for e in sim._queue._heap if not e.cancelled), key=order
-        )
+        queue = sim._queue
+        captured = queue.pending(self.queue_state)
+        live_events = queue.pending()
         if len(captured) != len(live_events):
             return False
         for want, have in zip(captured, live_events):

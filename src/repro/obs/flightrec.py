@@ -142,9 +142,7 @@ class FlightRecorder:
             names = self._node_names
         queue_tail = []
         if sim is not None:
-            for event in sorted(sim._queue._heap)[:QUEUE_TAIL_EVENTS]:
-                if event.cancelled:
-                    continue
+            for event in sim._queue.pending()[:QUEUE_TAIL_EVENTS]:
                 callback = event.callback
                 queue_tail.append({
                     "t": event.time,

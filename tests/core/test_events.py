@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import Simulator, events
 from repro.core.errors import SchedulingError
 from repro.core.events import (
     EventQueue,
@@ -122,3 +123,57 @@ class TestQueueBasics:
         assert "pending" in repr(event)
         event.cancel()
         assert "cancelled" in repr(event)
+
+
+class TestInjectionBands:
+    def test_two_bands_after_a_restore_keep_insertion_order(self):
+        """Band seqs run on across bands: two bands' events at one
+        timestamp dispatch in insertion order, not interleaved."""
+        sim = Simulator()
+        sim.mark_elaboration()
+        sim.run(1e-9)
+        sim.restore(sim.snapshot())
+        order = []
+        for band in "ab":
+            with sim.injection_band():
+                for k in (1, 2):
+                    sim.at(2e-9, lambda tag=f"{band}{k}": order.append(tag))
+        sim.run(3e-9)
+        assert order == ["a1", "a2", "b1", "b2"]
+
+    def test_band_counter_runs_across_bands_and_rewinds_on_restore(
+        self, monkeypatch
+    ):
+        # Three band seqs fit between restores at this spacing.
+        monkeypatch.setattr(events, "_EPOCH_STEP", 0.125)
+        q = EventQueue()
+        state = q.capture()
+        for _ in range(4):
+            q.restore(state)
+            for size in (2, 1):
+                q.begin_epoch(q.mark())
+                for _ in range(size):
+                    q.push(1.0, lambda: None)
+                q.end_epoch()
+        q.begin_epoch(q.mark())
+        with pytest.raises(SchedulingError, match="band exhausted"):
+            q.push(1.0, lambda: None)
+
+
+class TestRestore:
+    def test_restore_inside_a_callback_resumes_the_restored_queue(self):
+        """Restore reinstalls the heap in place, so a running dispatch
+        loop carries on with the restored events."""
+        sim = Simulator()
+        log = []
+        sim.at(1e-9, lambda: log.append("a"))
+        sim.at(2e-9, lambda: log.append("b"))
+        snap = sim.snapshot()
+
+        def rewind():
+            log.append("rewind")
+            sim.restore(snap)
+
+        sim.at(1.5e-9, rewind)
+        sim.run(3e-9)
+        assert log == ["a", "rewind", "a", "b"]

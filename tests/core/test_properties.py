@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import L0, L1, Logic, Simulator, resolve_many
-from repro.core.events import EventQueue
+from repro.core import L0, L1, Logic, RunBudget, Simulator, resolve_many
+from repro.core.events import (
+    EventQueue,
+    PRIORITY_ANALOG,
+    PRIORITY_MONITOR,
+    PRIORITY_NORMAL,
+)
 
 
 class TestSchedulerInvariants:
@@ -41,6 +46,200 @@ class TestSchedulerInvariants:
         for checkpoint in (0.3e-6, 0.7e-6, 1.1e-6, 2e-6):
             sim_b.run(checkpoint)
         assert fired_a == fired_b
+
+
+#: One scheduled event: (delay, priority, child), where ``child`` is
+#: None or the (delay, priority) of one event its callback schedules.
+_PRIORITY = st.sampled_from([PRIORITY_ANALOG, PRIORITY_NORMAL,
+                             PRIORITY_MONITOR])
+_PUSH = st.tuples(st.integers(0, 3), _PRIORITY,
+                  st.none() | st.tuples(st.integers(0, 2), _PRIORITY))
+_OP = st.one_of(
+    st.tuples(st.just("push"), _PUSH),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("band"), st.lists(_PUSH, min_size=1, max_size=4)),
+    st.tuples(st.just("capture")),
+    st.tuples(st.just("restore")),
+    st.tuples(st.just("run"), st.integers(0, 3), st.booleans()),
+)
+
+
+class _ModelEvent:
+    def __init__(self, time, priority, order, tag, child):
+        self.time, self.priority, self.order = time, priority, order
+        self.tag, self.child = tag, child
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _ReferenceQueue:
+    """The dispatch contract, spelled out: pick the live pending event
+    with the least (time, priority, insertion order) by a full scan.
+
+    Band events count as inserted at the elaboration mark, after every
+    event inserted before it; among themselves they keep insertion
+    order across bands, and capture/restore rewinds both counters.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.pending = []
+        self.created = []
+        self.log = []
+        self.executed = 0
+        self.normal = 0
+        self.banded = 0
+        self.band_mark = None
+        self.in_band = False
+        self.saved = None
+
+    def mark_elaboration(self):
+        self.band_mark = self.normal
+
+    def push(self, spec):
+        delay, priority, child = spec
+        if self.in_band:
+            order = (self.band_mark, 0, self.banded)
+            self.banded += 1
+        else:
+            order = (self.normal, 1, 0)
+            self.normal += 1
+        event = _ModelEvent(self.now + delay, priority, order,
+                            len(self.created), child)
+        self.created.append(event)
+        self.pending.append(event)
+
+    def band(self, specs):
+        self.in_band = True
+        for spec in specs:
+            self.push(spec)
+        self.in_band = False
+
+    def capture(self):
+        self.saved = (self.now, list(self.pending),
+                      [e.cancelled for e in self.pending],
+                      self.normal, self.banded)
+
+    def restore(self):
+        self.now, pending, flags, self.normal, self.banded = self.saved
+        self.pending = list(pending)
+        for event, flag in zip(pending, flags):
+            event.cancelled = flag
+
+    def run(self, until, inclusive):
+        while True:
+            live = [e for e in self.pending if not e.cancelled]
+            if not live:
+                break
+            event = min(live, key=lambda e: (e.time, e.priority, e.order))
+            if event.time > until or (event.time == until and not inclusive):
+                break
+            self.pending.remove(event)
+            self.now = event.time
+            self.executed += 1
+            self.log.append(event.tag)
+            if event.child is not None:
+                self.push(event.child + (None,))
+        self.now = until
+
+
+class _KernelReplay:
+    """The same operations on a real :class:`Simulator`."""
+
+    def __init__(self, budgeted):
+        self.sim = Simulator()
+        if budgeted:
+            # Never trips, but routes every run through _run_budgeted.
+            self.sim.budget = RunBudget(max_events=10**9, max_steps=10**9)
+        self.created = []
+        self.log = []
+        self.saved = None
+
+    @property
+    def now(self):
+        return self.sim.now
+
+    @property
+    def executed(self):
+        return self.sim.events_executed
+
+    def mark_elaboration(self):
+        self.sim.mark_elaboration()
+
+    def push(self, spec):
+        delay, priority, child = spec
+        tag = len(self.created)
+
+        def callback():
+            self.log.append(tag)
+            if child is not None:
+                self.push(child + (None,))
+
+        self.created.append(
+            self.sim._queue.push(self.sim.now + delay, callback, priority)
+        )
+
+    def band(self, specs):
+        with self.sim.injection_band():
+            for spec in specs:
+                self.push(spec)
+
+    def capture(self):
+        self.saved = self.sim.snapshot()
+
+    def restore(self):
+        self.sim.restore(self.saved)
+
+    def run(self, until, inclusive):
+        self.sim.run(until, inclusive=inclusive)
+
+
+def _replay(target, elaboration, ops):
+    for spec in elaboration:
+        target.push(spec)
+    target.mark_elaboration()
+    for op in ops:
+        kind = op[0]
+        if kind == "push":
+            target.push(op[1])
+        elif kind == "band":
+            target.band(op[1])
+        elif kind == "cancel":
+            if target.created:
+                target.created[op[1] % len(target.created)].cancel()
+        elif kind == "capture":
+            target.capture()
+        elif kind == "restore":
+            if target.saved is not None:
+                target.restore()
+        else:
+            target.run(target.now + op[1], op[2])
+    target.run(target.now + 10, True)
+    return target.log, target.executed
+
+
+class TestDispatchOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_PUSH, max_size=6),
+        st.lists(_OP, max_size=30),
+        st.lists(_PUSH, min_size=1, max_size=4),
+        st.integers(0, 30),
+    )
+    def test_both_loops_follow_the_reference_order(
+        self, elaboration, ops, band, band_at
+    ):
+        """The fused loop (``EventQueue.dispatch``) and the budgeted
+        loop run every callback in the reference (time, priority,
+        insertion order), with tied times, cancels, injection bands,
+        capture/restore and runs to ``until`` in or excluding it."""
+        ops = list(ops)
+        ops.insert(min(band_at, len(ops)), ("band", band))
+        expected = _replay(_ReferenceQueue(), elaboration, ops)
+        assert _replay(_KernelReplay(False), elaboration, ops) == expected
+        assert _replay(_KernelReplay(True), elaboration, ops) == expected
 
 
 class TestSignalInvariants:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import AnalogBlock, RunBudget, Simulator
 from repro.core.errors import ReproError
+from repro.core.events import PRIORITY_MONITOR, PRIORITY_NORMAL
 from repro.faults import BitFlip
 from repro.obs.flightrec import (
     FlightRecorder,
@@ -98,6 +99,44 @@ class TestSnapshot:
         assert "n" in snap["trace_tails"]
         assert len(snap["trace_tails"]["n"]) <= 16
         assert isinstance(snap["event_queue_tail"], list)
+
+    def test_queue_tail_is_the_next_live_events(self):
+        """The tail lists the next 16 *live* events in (time, priority,
+        seq) order, however many cancelled ones sort before them."""
+
+        def monitor():
+            pass
+
+        def first():
+            pass
+
+        def second():
+            pass
+
+        sim = Simulator()
+        by_time = {}
+        for k in range(40, 0, -1):
+            t = k * 1e-9
+            by_time[k] = [
+                sim._queue.push(t, monitor, PRIORITY_MONITOR),
+                sim.at(t, first),
+                sim.at(t, second),
+            ]
+        for k in range(1, 11):
+            for event in by_time[k]:
+                event.cancel()
+        tail = FlightRecorder().snapshot(sim)["event_queue_tail"]
+        expected = [
+            (k * 1e-9, priority, name)
+            for k in range(11, 41)
+            for priority, name in ((PRIORITY_NORMAL, "first"),
+                                   (PRIORITY_NORMAL, "second"),
+                                   (PRIORITY_MONITOR, "monitor"))
+        ][:16]
+        assert [
+            (e["t"], e["priority"], e["callback"].rsplit(".", 1)[-1])
+            for e in tail
+        ] == expected
 
     def test_snapshot_without_sim(self):
         recorder = FlightRecorder()
