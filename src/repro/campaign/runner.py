@@ -47,6 +47,8 @@ from __future__ import annotations
 import inspect
 import logging
 import os
+from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -57,7 +59,6 @@ from ..core.errors import CampaignError
 from ..core.units import parse_quantity
 from ..injection.controller import CurrentInjection, InjectionController
 from ..obs import journal as _journal
-from ..obs import metrics as _metrics
 from ..obs import tracer as _tracer
 from ..obs.flightrec import (
     FlightRecorder,
@@ -84,6 +85,7 @@ from .supervisor import (
     Batch,
     RetryPolicy,
     WorkerSupervisor,
+    death_status,
     fork_context,
 )
 
@@ -185,11 +187,13 @@ class CampaignRunner:
         self._batch_stats = None
         # Telemetry state: the flight-recorder post-mortem directory,
         # the sim/recorder of the faulty run in flight (what a failure
-        # dump captures) and per-phase wall-time accumulators.
+        # dump captures), the campaign's per-phase wall times and the
+        # phase seconds of the task in flight (:meth:`_run_task`).
         self._postmortem_dir = None
         self._last_sim = None
         self._recorder = None
         self._phase_s = None
+        self._task_phase_s = {"restore": 0.0, "step": 0.0}
 
     @staticmethod
     def _collect_windows(faults):
@@ -300,87 +304,42 @@ class CampaignRunner:
         path = postmortem_path(self._postmortem_dir, index)
         return path if os.path.exists(path) else None
 
-    def _build_monitor(self, store, campaign_id):
-        """The placement monitor: each fault attempt's start becomes a
-        ``run_started`` journal event and each retry a ``retry`` event;
-        on the pool, worker lifecycle events become journal events,
-        store worker rows (on spawn, heartbeat, death and stop) and,
-        for workers that die without reporting, parent-written
-        post-mortems."""
+    def _worker_listener(self, store, campaign_id):
+        """The campaign's event listener: pool worker events become the
+        store's ``workers`` rows, and a worker that died without
+        reporting gets a parent-written post-mortem."""
+        heartbeats = {}         # pid -> the worker's last heartbeat
 
-        def monitor(info):
-            event = info.get("event")
-            pid = info.get("pid")
-            index = info.get("index")
-            if event == "spawned":
-                _journal.emit("worker_spawned", pid=pid)
-                if store is not None:
-                    store.record_worker(campaign_id, pid, "alive",
-                                        phase="idle")
-            elif event == "task" and not isinstance(info["task"], Batch):
-                # Journal only: a worker's row follows at its next
-                # heartbeat, at most one heartbeat interval later.
-                index = info["task"]
-                worker = {} if pid is None else {"worker_pid": pid}
-                _journal.emit(
-                    "run_started", index=index,
-                    fault=self.spec.faults[index].describe(),
-                    attempt=info.get("attempt"), **worker,
+        def listener(event, fields):
+            pid, index = fields.get("pid"), fields.get("index")
+            if event == "worker_heartbeat":
+                heartbeats[pid] = fields
+            phase = heartbeats.get(pid, {}).get("phase")
+            row = {     # state, fault index, phase
+                "worker_spawned": ("alive", None, "idle"),
+                "worker_heartbeat": ("alive", index, phase),
+                "worker_died": ("dead", index, phase),
+                "worker_stopped": ("stopped", None, None),
+            }.get(event)
+            if row is not None and store is not None:
+                store.record_worker(campaign_id, pid, *row,
+                                    exitcode=fields.get("exitcode"))
+            if (event == "worker_died" and index is not None
+                    and self._postmortem_dir is not None):
+                status = death_status(fields["killed"])
+                path = write_worker_postmortem(
+                    self._postmortem_dir, index,
+                    fault=self.spec.faults[index], status=status,
+                    error=(f"worker pid {pid} died (exitcode"
+                           f" {fields['exitcode']},"
+                           f" killed={fields['killed']})"),
+                    pid=pid, exitcode=fields["exitcode"],
+                    last_heartbeat=heartbeats.get(pid),
                 )
-            elif event == "heartbeat":
-                _journal.emit(
-                    "worker_heartbeat", pid=pid, index=index,
-                    phase=info.get("phase"),
-                )
-                if store is not None:
-                    store.record_worker(campaign_id, pid, "alive",
-                                        fault_idx=index,
-                                        phase=info.get("phase"))
-            elif event == "died":
-                _journal.emit(
-                    "worker_died", pid=pid, index=index,
-                    exitcode=info.get("exitcode"),
-                    killed=bool(info.get("killed")),
-                )
-                heartbeat = info.get("last_heartbeat") or {}
-                if store is not None:
-                    store.record_worker(
-                        campaign_id, pid, "dead", fault_idx=index,
-                        phase=heartbeat.get("phase"),
-                        exitcode=info.get("exitcode"),
-                    )
-                # A killed/crashed worker could not dump its own
-                # flight recorder; write what the parent knows.
-                if self._postmortem_dir is not None and index is not None:
-                    status = info.get("status", RUN_CRASHED)
-                    path = write_worker_postmortem(
-                        self._postmortem_dir, index,
-                        fault=self.spec.faults[index], status=status,
-                        error=(
-                            f"worker pid {pid} died"
-                            f" (exitcode {info.get('exitcode')},"
-                            f" killed={bool(info.get('killed'))})"
-                        ),
-                        pid=pid, exitcode=info.get("exitcode"),
-                        last_heartbeat=info.get("last_heartbeat"),
-                    )
-                    _journal.emit(
-                        "postmortem_written", index=index, path=path,
-                        status=status,
-                    )
-            elif event == "stopped":
-                # Store only: the pool shut the worker down, so its row
-                # must stop reading alive.
-                if store is not None:
-                    store.record_worker(campaign_id, pid, "stopped",
-                                        exitcode=info.get("exitcode"))
-            elif event == "retry":
-                _journal.emit(
-                    "retry", index=index, attempt=info.get("attempt"),
-                    delay_s=info.get("delay_s"), status=info.get("status"),
-                )
+                _journal.emit("postmortem_written", index=index, path=path,
+                              status=status)
 
-        return monitor
+        return listener
 
     @staticmethod
     def _check_probes(design, outputs):
@@ -515,9 +474,8 @@ class CampaignRunner:
         return warm["tree"].trunk_at(t_inj)
 
     def _add_phase(self, name, seconds):
-        """Accrue ``seconds`` to a phase while a campaign is running."""
-        if self._phase_s is not None:
-            self._phase_s[name] += seconds
+        """Accrue ``seconds`` to a phase of the task in flight."""
+        self._task_phase_s[name] += seconds
 
     def run_fault_warm(self, fault):
         """Execute one faulty run from the nearest golden checkpoint.
@@ -930,9 +888,13 @@ class CampaignRunner:
         (:meth:`_attempt`), or one batch, whose payload is
         :meth:`run_batch_digital`'s or :meth:`run_batch_warm`'s.  It
         may run in a forked worker, so only picklable data (traces,
-        metric dicts, counters) comes back."""
+        metric dicts, counters) comes back, with the task's phase
+        seconds: a run's payload ends with them, a batch's ``info``
+        holds them and the tree's ``branch_peak_live``."""
+        self._task_phase_s = phases = {"restore": 0.0, "step": 0.0}
         if not isinstance(task, Batch):
-            return self._attempt(task)
+            index, ok, payload, wall_s = self._attempt(task)
+            return index, ok, (*payload, phases) if ok else payload, wall_s
         run = (self.run_batch_digital if task.kind == "digital"
                else self.run_batch_warm)
         with _tracer.TRACER.span(
@@ -940,13 +902,20 @@ class CampaignRunner:
             t_ckpt=task.t_ckpt,
         ):
             start = perf_counter()
-            payload = run(task.indices)
-        return task, True, payload, perf_counter() - start
+            completed, leftovers, info = run(task.indices)
+        info.update(phases=phases,
+                    branch_peak_live=self._warm["tree"].peak_live)
+        return task, True, (completed, leftovers, info), perf_counter() - start
 
     #: The ``fork`` context the pool needs, or None (degrades to serial).
     _fork_context = staticmethod(fork_context)
 
     # -- outcome streams ---------------------------------------------------------
+
+    def _add_phases(self, phases):
+        """Add one task's phase seconds to the campaign's."""
+        for name, seconds in phases.items():
+            self._phase_s[name] += seconds
 
     def _chunk_outcomes(self, pending, place):
         """Outcome groups of one chunk's pending faults, run by ``place``
@@ -955,9 +924,8 @@ class CampaignRunner:
         yields nothing); a batch whose worker died falls back whole,
         as a batch that fails in process does.  Then the scalar pass:
         every unbatchable fault plus the batches' leftovers, one group
-        per fault.
+        per fault.  Each task's phase seconds add to the campaign's.
         """
-        registry = _metrics.REGISTRY
         stats = self._batch_stats
         batches, scalar = self._plan_batches(pending, stats["mode"])
         for position, batch in enumerate(batches):
@@ -969,19 +937,22 @@ class CampaignRunner:
             completed, leftovers, info = payload if ok else (
                 [], list(batch.indices), {"peeled": 0, "fallback": True}
             )
+            self._add_phases(info.get("phases", {}))
             stats["batches"] += 1
             stats[f"{batch.kind}_batches"] += 1
             stats["batched_runs"] += len(completed)
             stats["fallbacks"] += info["fallback"]
             for key in ("peeled", "converged", "branch_snapshots"):
                 stats[key] += info.get(key, 0)
-            registry.inc("campaign.batch.count")
-            registry.inc(f"campaign.batch.{batch.kind}")
-            registry.observe("campaign.batch.size", len(batch.indices))
-            for key in ("peeled", "converged", "fallback"):
-                if info.get(key):
-                    registry.inc(f"campaign.batch.{key}", int(info[key]))
-            registry.inc("campaign.runs.batched", len(completed))
+            stats["branch_peak_live"] = max(
+                stats["branch_peak_live"], info.get("branch_peak_live", 0)
+            )
+            _journal.emit(
+                "batch_finished", kind=batch.kind, size=len(batch.indices),
+                t_ckpt=batch.t_ckpt, completed=len(completed),
+                peeled=info["peeled"], converged=info.get("converged", 0),
+                fallback=info["fallback"],
+            )
             if completed:
                 yield [
                     (index, True, run, wall_s, 1)
@@ -990,10 +961,11 @@ class CampaignRunner:
             scalar.extend(leftovers)
         scalar.sort()
         stats["scalar_runs"] += len(scalar)
-        if scalar:
-            registry.inc("campaign.runs.scalar", len(scalar))
-        for outcome in place(scalar):
-            yield [outcome]
+        for index, ok, payload, wall_s, attempts in place(scalar):
+            if ok:
+                *payload, phases = payload
+                self._add_phases(phases)
+            yield [(index, ok, payload, wall_s, attempts)]
 
     def _planned_outcomes(self, plan, place, sampled):
         """The campaign's outcome groups: ``plan``'s chunks, in order.
@@ -1008,14 +980,13 @@ class CampaignRunner:
         consumer classifies, records into the plan and commits each
         group *before* this generator resumes.  A sampled stream ends
         the moment the pooled interval converges or the population
-        runs dry; only a sampled stream journals its chunks and stop.
+        runs dry; only a sampled stream emits its chunks and stop.
         """
-        journal_on = sampled and _journal.JOURNAL.enabled
         while True:
             chunk = plan.next_chunk()
             if chunk is None:
                 break
-            if journal_on:
+            if sampled:
                 _journal.emit(
                     "sample_chunk", chunk=chunk.ident,
                     round=chunk.round_index, size=len(chunk.indices),
@@ -1208,6 +1179,7 @@ class CampaignRunner:
             "batches": 0, "analog_batches": 0, "digital_batches": 0,
             "batched_runs": 0, "peeled": 0, "converged": 0,
             "branch_snapshots": 0, "fallbacks": 0, "scalar_runs": 0,
+            "branch_peak_live": 0,
         }
 
         wall_start = perf_counter()
@@ -1296,102 +1268,93 @@ class CampaignRunner:
         supervisor = WorkerSupervisor(
             context, self._run_task, workers, retry=self._retry,
             deadline_s=getattr(budget, "max_wall_s", None),
-            monitor=self._build_monitor(store, campaign_id),
+            describe=lambda index: self.spec.faults[index].describe(),
         )
         place = supervisor.inline if context is None else supervisor.outcomes
         outcomes = self._planned_outcomes(plan, place, sampled=sample)
 
-        registry = _metrics.REGISTRY
         phases = self._phase_s
         result = CampaignResult(self.spec, golden_probes=golden_probes)
         new_runs = {}
         errors = []
         fault_events = 0
         retried = 0
-        retried_runs = 0
-        failure_tally = {RUN_TIMEOUT: 0, RUN_DIVERGED: 0, RUN_CRASHED: 0}
-        for group in outcomes:
-            # Each group (one scalar run, or one batch) is rendered
-            # here and committed as one transaction.
-            rows = []
-            for index, ok, payload, wall_s, attempts in group:
-                fault = self.spec.faults[index]
-                if self.progress is not None:
-                    self.progress(len(new_runs) + len(errors), len(pending),
-                                  fault)
-                stratum = plan.stratum_of(index)
-                retried += attempts - 1
-                if not ok:
-                    exc, status = payload
-                    # Failed runs are excluded from estimate trials but
-                    # still consume their draw.
-                    plan.record(index, None)
-                    if on_error == "raise":
-                        raise exc
-                    quarantined = (
-                        self._retry is not None
-                        and attempts >= self._retry.attempts
-                    )
-                    message = f"{type(exc).__name__}: {exc}"
-                    postmortem = self._find_postmortem(index)
-                    errors.append(CampaignRunError(
-                        index, fault, message,
-                        status=status, attempts=attempts,
-                        quarantined=quarantined, postmortem=postmortem,
-                    ))
-                    registry.inc("campaign.errors")
-                    if status in failure_tally:
-                        failure_tally[status] += 1
-                        registry.inc(f"campaign.{status}")
-                    if quarantined:
-                        registry.inc("campaign.quarantined")
+        # One pool serves every pass; it stops (its last worker events
+        # still reaching the listener) when the tasks end or raise.
+        listener = self._worker_listener(store, campaign_id)
+        with _journal.listening(listener), closing(supervisor):
+            for group in outcomes:
+                # Each group (one scalar run, or one batch) is rendered
+                # here and committed as one transaction.
+                rows = []
+                for index, ok, payload, wall_s, attempts in group:
+                    fault = self.spec.faults[index]
+                    if self.progress is not None:
+                        self.progress(len(new_runs) + len(errors),
+                                      len(pending), fault)
+                    stratum = plan.stratum_of(index)
+                    retried += attempts - 1
+                    if not ok:
+                        exc, status = payload
+                        # Failed runs are excluded from estimate trials
+                        # but still consume their draw.
+                        plan.record(index, None)
+                        if on_error == "raise":
+                            raise exc
+                        quarantined = (
+                            self._retry is not None
+                            and attempts >= self._retry.attempts
+                        )
+                        message = f"{type(exc).__name__}: {exc}"
+                        postmortem = self._find_postmortem(index)
+                        errors.append(CampaignRunError(
+                            index, fault, message,
+                            status=status, attempts=attempts,
+                            quarantined=quarantined, postmortem=postmortem,
+                        ))
+                        if quarantined:
+                            _journal.emit(
+                                "quarantined", index=index, status=status,
+                                attempts=attempts,
+                            )
                         _journal.emit(
-                            "quarantined", index=index, status=status,
+                            "run_finished", index=index, status=status,
+                            label=None, wall_s=round(wall_s, 6),
                             attempts=attempts,
                         )
+                        if store is not None:
+                            rows.append(error_to_row(
+                                index, None, message, status=status,
+                                wall_s=wall_s, attempts=attempts,
+                                quarantined=quarantined,
+                                postmortem=postmortem, stratum=stratum,
+                            ))
+                        continue
+                    probes, metrics, events = payload
+                    fault_events += events
+                    classify_start = perf_counter()
+                    run_result = self._evaluate(
+                        golden_probes, fault, probes, metrics
+                    )
+                    phases["classify"] += perf_counter() - classify_start
+                    new_runs[index] = run_result
+                    plan.record(index, run_result.label != SILENT)
                     _journal.emit(
-                        "run_finished", index=index, status=status,
-                        label=None, wall_s=round(wall_s, 6),
+                        "run_finished", index=index, status="ok",
+                        label=run_result.label, wall_s=round(wall_s, 6),
                         attempts=attempts,
                     )
                     if store is not None:
-                        rows.append(error_to_row(
-                            index, None, message, status=status,
-                            wall_s=wall_s, attempts=attempts,
-                            quarantined=quarantined,
-                            postmortem=postmortem, stratum=stratum,
+                        rows.append(result_to_row(
+                            index, None, run_result, wall_s=wall_s,
+                            kernel_events=events, attempts=attempts,
+                            stratum=stratum,
                         ))
-                    continue
-                probes, metrics, events = payload
-                fault_events += events
-                retried_runs += attempts > 1
-                classify_start = perf_counter()
-                run_result = self._evaluate(
-                    golden_probes, fault, probes, metrics
-                )
-                phases["classify"] += perf_counter() - classify_start
-                new_runs[index] = run_result
-                plan.record(index, run_result.label != SILENT)
-                registry.inc("campaign.runs")
-                registry.inc(f"campaign.class.{run_result.label}")
-                registry.observe("campaign.run_wall_s", wall_s)
-                _journal.emit(
-                    "run_finished", index=index, status="ok",
-                    label=run_result.label, wall_s=round(wall_s, 6),
-                    attempts=attempts,
-                )
-                if store is not None:
-                    rows.append(result_to_row(
-                        index, None, run_result, wall_s=wall_s,
-                        kernel_events=events, attempts=attempts,
-                        stratum=stratum,
-                    ))
-            if rows:
-                write_start = perf_counter()
-                store.record_runs(campaign_id, rows)
-                phases["store_write"] += perf_counter() - write_start
-        if retried_runs:
-            registry.inc("campaign.retried_runs", retried_runs)
+                if rows:
+                    write_start = perf_counter()
+                    store.record_runs(campaign_id, rows)
+                    phases["store_write"] += perf_counter() - write_start
+        session_failures = Counter(err.status for err in errors)
         session_error_indices = {err.index for err in errors}
 
         if sample and plan.finished and store is not None:
@@ -1438,9 +1401,9 @@ class CampaignRunner:
             "skipped": total - len(pending),
             "errors": len(errors),
             "retries": retried,
-            "timeouts": failure_tally[RUN_TIMEOUT],
-            "diverged": failure_tally[RUN_DIVERGED],
-            "crashed": failure_tally[RUN_CRASHED],
+            "timeouts": session_failures[RUN_TIMEOUT],
+            "diverged": session_failures[RUN_DIVERGED],
+            "crashed": session_failures[RUN_CRASHED],
             "quarantined": sum(1 for err in errors if err.quarantined),
         }
         if warm_start:
@@ -1454,25 +1417,15 @@ class CampaignRunner:
             )
             result.execution["warm_hits"] = hits
             result.execution["warm_misses"] = len(attempted) - hits
-            registry.inc("campaign.warm.hit", hits)
-            registry.inc("campaign.warm.miss", len(attempted) - hits)
         if batch:
-            result.execution["batch"] = dict(
-                self._batch_stats,
-                branch_peak_live=self._warm["tree"].peak_live,
-            )
+            result.execution["batch"] = dict(self._batch_stats)
         if sample:
             result.execution["sampling"] = plan.summary()
-        # Per-phase wall-time breakdown.  restore/step accrue inside
-        # the process that simulates — the parent in process; forked
-        # workers (whose accumulators die with them) on the pool — so
-        # on the pool only the parent-side classify/store_write phases
-        # are visible.
+        # Per-phase wall-time breakdown: restore/step as each task
+        # reported them, classify/store_write as the parent spent them.
         result.execution["phases"] = {
             name: round(value, 6) for name, value in phases.items()
         }
-        for name, value in phases.items():
-            registry.observe(f"campaign.phase.{name}_s", value)
         if store is not None:
             store.record_execution(
                 campaign_id,

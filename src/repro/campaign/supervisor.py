@@ -4,9 +4,10 @@ A campaign runs *tasks* — a fault index, or a planned :class:`Batch`
 of them — through one body.  A :class:`WorkerSupervisor` places them:
 :meth:`~WorkerSupervisor.inline` in the campaign process, or
 :meth:`~WorkerSupervisor.outcomes` on forked workers, with one retry
-rule and one set of monitor notifications.  Hung and crashed runs are
-*first-class outcomes*, as on large fault-injection platforms (DAVOS,
-FsimNNs), never a pool blocked on a worker that will not report:
+rule, emitting each attempt's and worker's events.  Hung and crashed
+runs are *first-class outcomes*, as on large fault-injection
+platforms (DAVOS, FsimNNs), never a pool blocked on a worker that
+will not report:
 
 * each worker is a **directly supervised process** with a dedicated
   duplex pipe — the parent always knows which task each worker is
@@ -42,7 +43,6 @@ from time import monotonic, sleep
 
 from ..core.errors import CampaignError, ReproError, WorkerCrashError
 from ..obs import journal as _journal
-from ..obs import metrics as _metrics
 from .classify import RUN_CRASHED, RUN_TIMEOUT
 
 LOGGER = logging.getLogger("repro.campaign")
@@ -81,6 +81,11 @@ def fork_context():
 #: A planned batch task: ``indices`` restore the golden checkpoint at
 #: ``t_ckpt`` and run together as one ``kind`` batch.
 Batch = namedtuple("Batch", "kind t_ckpt indices")
+
+
+def death_status(killed):
+    """A dead worker's task status: ``timeout`` if the pool killed it."""
+    return RUN_TIMEOUT if killed else RUN_CRASHED
 
 
 def _describe(task):
@@ -160,9 +165,8 @@ def _supervised_worker(conn, body, heartbeat_s=None):
     writes travel opposite directions on the duplex pipe, so the main
     thread's blocking ``recv`` never contends with a heartbeat send).
     """
-    # The fork duplicated the parent's open journal handle: close this
-    # copy, so the parent stays the journal's only writer (one ``seq``).
-    _journal.JOURNAL.close()
+    # The fork duplicated the parent's journal handle and listeners.
+    _journal.detach()
     send_lock = threading.Lock()
     stop = threading.Event()
 
@@ -201,7 +205,7 @@ class _Worker:
     """Parent-side record of one supervised worker process."""
 
     __slots__ = ("process", "conn", "task", "attempt", "started_at",
-                 "killed", "last_heartbeat")
+                 "killed")
 
     def __init__(self, process, conn):
         self.process = process
@@ -210,7 +214,6 @@ class _Worker:
         self.attempt = 0
         self.started_at = 0.0
         self.killed = False     # True when the supervisor killed it
-        self.last_heartbeat = None   # most recent hb payload dict
 
     @property
     def busy(self):
@@ -239,18 +242,12 @@ class WorkerSupervisor:
         single native call.
     :param heartbeat_s: seconds between worker liveness heartbeats
         (``None`` disables the heartbeat thread entirely).
-    :param monitor: optional callable ``(event_dict)`` notified of
-        every attempt's start (``task``, with the ``task`` and its
-        ``attempt``) and retry (``retry``) and, on the pool, of worker
-        lifecycle events — ``spawned``, ``heartbeat``, ``died``, and
-        ``stopped`` when the pool shuts a worker down — with the worker
-        pid and (where known) the fault index, phase and exit code.
-        The supervisor stays transport-only; the campaign runner's
-        monitor turns these into journal events and store rows.
+    :param describe: callable naming a fault index in the ``fault``
+        field of the ``run_started`` event of each attempt.
     """
 
     def __init__(self, context, body, workers, retry=None, deadline_s=None,
-                 heartbeat_s=DEFAULT_HEARTBEAT_S, monitor=None):
+                 heartbeat_s=DEFAULT_HEARTBEAT_S, describe=_describe):
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers!r}")
         self.context = context
@@ -259,15 +256,8 @@ class WorkerSupervisor:
         self.retry = retry
         self.deadline_s = deadline_s
         self.heartbeat_s = heartbeat_s
-        self.monitor = monitor
-
-    def _notify(self, event, **fields):
-        if self.monitor is None:
-            return
-        try:
-            self.monitor(dict(event=event, **fields))
-        except Exception:
-            LOGGER.exception("worker monitor callback failed")
+        self.describe = describe
+        self._workers = []      # the pool, kept until close()
 
     def _dispose(self, task, attempt, status):
         """The backoff before retrying a failed attempt, or None when
@@ -277,10 +267,15 @@ class WorkerSupervisor:
                 or isinstance(task, Batch)):
             return None
         delay = self.retry.delay(attempt)
-        _metrics.REGISTRY.inc("campaign.retries")
-        self._notify("retry", index=task, attempt=attempt, delay_s=delay,
-                     status=status)
+        _journal.emit("retry", index=task, attempt=attempt, delay_s=delay,
+                      status=status)
         return delay
+
+    def _started(self, task, attempt, **worker):
+        if not isinstance(task, Batch):
+            _journal.emit("run_started", index=task,
+                          fault=self.describe(task), attempt=attempt,
+                          **worker)
 
     # -- in this process -----------------------------------------------------
 
@@ -291,7 +286,7 @@ class WorkerSupervisor:
         for task in tasks:
             attempt = 1
             while True:
-                self._notify("task", task=task, attempt=attempt)
+                self._started(task, attempt)
                 _task, ok, payload, wall_s = _run(self.body, task, attempt)
                 delay = None if ok else self._dispose(task, attempt,
                                                       payload[1])
@@ -315,12 +310,22 @@ class WorkerSupervisor:
         # signals a worker death only surfaces once *every* handle on
         # that end is closed.
         child_conn.close()
-        self._notify("spawned", pid=process.pid)
-        return _Worker(process, parent_conn)
+        _journal.emit("worker_spawned", pid=process.pid)
+        worker = _Worker(process, parent_conn)
+        self._workers.append(worker)
+        return worker
 
-    def _shutdown(self, workers):
+    def close(self):
+        """Stop the pool's workers; each emits ``worker_stopped``."""
+        self._stop(list(self._workers))
+
+    def _stop(self, workers):
+        """Stop ``workers`` and drop them from the pool: an idle one is
+        asked to exit, a busy one is killed."""
         for worker in workers:
-            if not worker.busy and worker.process.is_alive():
+            if worker.busy:
+                worker.process.kill()
+            elif worker.process.is_alive():
                 try:
                     worker.conn.send(None)
                 except OSError:
@@ -329,13 +334,11 @@ class WorkerSupervisor:
             worker.conn.close()
             worker.process.join(timeout=0.5)
             if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=0.5)
-            if worker.process.is_alive():
                 worker.process.kill()
                 worker.process.join(timeout=0.5)
-            self._notify("stopped", pid=worker.process.pid,
-                         exitcode=worker.process.exitcode)
+            self._workers.remove(worker)
+            _journal.emit("worker_stopped", pid=worker.process.pid,
+                          exitcode=worker.process.exitcode)
 
     def _limit(self, task):
         """Seconds a worker may spend on ``task`` before the kill."""
@@ -343,18 +346,19 @@ class WorkerSupervisor:
         return self.deadline_s * size + KILL_GRACE_S
 
     def outcomes(self, tasks):
-        """Yield one terminal outcome per task, run on forked workers,
-        as completed.
+        """Yield one terminal outcome per task, run on the pool's
+        forked workers, as completed.
 
         Outcomes are ``(task, ok, payload, wall_s, attempts)`` in
-        completion order (the campaign parent re-sorts by index).  Up
-        to ``workers`` processes start as soon as tasks are queued for
-        them.  The generator owns the worker processes; closing it
-        (including via an exception in the consumer) tears them down.
+        completion order (the campaign parent re-sorts by index).  The
+        pool starts a worker per queued task, up to ``workers``, and
+        keeps them for the next call.  Closing the generator early
+        kills the workers still busy on its tasks, so no stale result
+        reaches the next call.
         """
         queue = deque((task, 1) for task in tasks)
         delayed = []            # (ready_at, task, attempt)
-        workers = []
+        workers = self._workers
         remaining = len(tasks)
 
         try:
@@ -374,9 +378,7 @@ class WorkerSupervisor:
                 while (
                     len(queue) > len(idle) and len(workers) < self.n_workers
                 ):
-                    worker = self._spawn()
-                    workers.append(worker)
-                    idle.append(worker)
+                    idle.append(self._spawn())
                 for worker in idle:
                     if not queue:
                         break
@@ -389,8 +391,8 @@ class WorkerSupervisor:
                         worker.conn.send((task, attempt))
                     except OSError:
                         pass  # died idle: harvested below like any death
-                    self._notify("task", pid=worker.process.pid, task=task,
-                                 attempt=attempt)
+                    self._started(task, attempt,
+                                  worker_pid=worker.process.pid)
 
                 busy = [w for w in workers if w.busy]
                 if not busy:
@@ -404,8 +406,7 @@ class WorkerSupervisor:
                 ready = _wait_ready([w.conn for w in busy], timeout=POLL_S)
                 by_conn = {w.conn: w for w in busy}
                 for conn in ready:
-                    worker = by_conn[conn]
-                    outcome = self._harvest(workers, delayed, worker)
+                    outcome = self._harvest(delayed, by_conn[conn])
                     if outcome is not None:
                         remaining -= 1
                         yield outcome
@@ -429,9 +430,9 @@ class WorkerSupervisor:
                             worker.killed = True
                             worker.process.kill()
         finally:
-            self._shutdown(workers)
+            self._stop([worker for worker in workers if worker.busy])
 
-    def _harvest(self, workers, delayed, worker):
+    def _harvest(self, delayed, worker):
         """Collect one ready message (or death) from ``worker``.
 
         Returns a terminal outcome tuple, or None when the message was
@@ -444,12 +445,12 @@ class WorkerSupervisor:
         except (EOFError, OSError):
             # The worker died mid-run: attribute the death to the task
             # it was executing, then replace the process.
-            workers.remove(worker)
+            self._workers.remove(worker)
             worker.conn.close()
             worker.process.join(timeout=1.0)
             exitcode = worker.process.exitcode
+            status = death_status(worker.killed)
             if worker.killed:
-                status = RUN_TIMEOUT
                 error = WorkerCrashError(
                     f"worker killed after {_describe(task)} exceeded its "
                     f"{self._limit(task) - KILL_GRACE_S:.3g}s deadline "
@@ -457,27 +458,23 @@ class WorkerSupervisor:
                     exitcode=exitcode,
                 )
             else:
-                status = RUN_CRASHED
                 error = WorkerCrashError(
                     f"worker running {_describe(task)} died "
                     f"(exitcode {exitcode})",
                     exitcode=exitcode,
                 )
             LOGGER.warning("%s", error)
-            _metrics.REGISTRY.inc("campaign.worker_deaths")
-            self._notify(
-                "died", pid=worker.process.pid,
+            _journal.emit(
+                "worker_died", pid=worker.process.pid,
                 index=None if isinstance(task, Batch) else task,
-                attempt=attempt, exitcode=exitcode, killed=worker.killed,
-                status=status, last_heartbeat=worker.last_heartbeat,
+                exitcode=exitcode, killed=worker.killed,
             )
             payload = (error, status)
         else:
             tag, result = message
             if tag == "hb":
                 # Liveness only: the worker stays busy on its task.
-                worker.last_heartbeat = result
-                self._notify("heartbeat", **result)
+                _journal.emit("worker_heartbeat", **result)
                 return None
             worker.task = None  # idle again
             _task, ok, payload, wall_s = result

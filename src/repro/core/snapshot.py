@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SimulationError
+from .node import CurrentNode
 
 
 def _values_equal(a, b):
@@ -260,24 +261,31 @@ class Snapshot:
         """
         if sim is not self.sim or sim.now != self.time:
             return False
+        # Live fields against the captured ``_state()`` tuples: a
+        # signal's (value, prev, last change time, change count, forced,
+        # forced value, drivers, driver values, ...), whose counters are
+        # observational and registrations shared by construction; a
+        # node's (v, writers, readers); a current node's (node state,
+        # i, contributions).
         for signal, state in self.signal_states:
-            live = signal._state()
-            # _state() layout: value, prev, last_change_time,
-            # change_count, forced, forced_value, drivers,
-            # driver values, default driver, listeners.  Indices 2/3
-            # are observational; 6/8/9 are structural registrations
-            # shared with the snapshot by construction.
-            if live[0] != state[0] or live[1] != state[1]:
+            if (signal._value != state[0] or signal._prev != state[1]
+                    or signal._forced != state[4]
+                    or signal._forced_value != state[5]
+                    or len(signal._drivers) != len(state[7])):
                 return False
-            if live[4] != state[4] or live[5] != state[5]:
-                return False
-            if not _values_equal(live[7], state[7]):
-                return False
+            for driver, value in zip(signal._drivers, state[7]):
+                if driver.value is not value and not _values_equal(
+                        driver.value, value):
+                    return False
         for node, state in self.node_states:
-            live = node._state()
-            if not _values_equal(live[0], state[0]):
-                return False
-            if len(live) > 1 and not _values_equal(live[1:], state[1:]):
+            if isinstance(node, CurrentNode):
+                state, current, contributions = state
+                if not (_values_equal(node.i, current) and _values_equal(
+                        node._contributions, contributions)):
+                    return False
+            v, writers, readers = state
+            if (not _values_equal(node.v, v) or node.writers != writers
+                    or node.readers != readers):
                 return False
         for component, state in self.component_states:
             if not _values_equal(component.state_dict(), state):

@@ -26,10 +26,9 @@ LOGGER = logging.getLogger("repro.dist")
 
 def _worker_main(address, factory, name, worker_kwargs):
     """Forked worker body: detach inherited telemetry, serve leases."""
-    # The fork duplicated the parent's open journal handle; writing
-    # from two processes would interleave sequence numbers.  Closing
-    # the child's duplicate leaves the parent's stream untouched.
-    _journal.JOURNAL.close()
+    # The fork duplicated the parent's journal handle and listeners;
+    # writing from two processes would interleave sequence numbers.
+    _journal.detach()
     try:
         run_worker(address, factory=factory, name=name, **worker_kwargs)
     except Exception:

@@ -20,6 +20,9 @@ costs one boolean attribute load per call site while disabled — true
 hot paths guard on :attr:`Journal.enabled` and skip the call
 entirely.
 
+:func:`emit` records each campaign fact once, in three sinks: this
+journal, the metrics registry and the running campaign's listeners.
+
 Every record is one JSON object per line::
 
     {"v": 1, "seq": 12, "t_wall": 3.0914, "event": "run_finished",
@@ -36,10 +39,15 @@ schema with one example per event type).
 from __future__ import annotations
 
 import json
+import logging
 import os
+from contextlib import contextmanager
 from time import perf_counter
 
 from ..core.errors import ReproError
+from . import metrics as _metrics
+
+LOGGER = logging.getLogger("repro.obs")
 
 #: Version of the journal record schema, stamped on every line.
 #: v2 = v1 plus the crash-tolerance events (``coordinator_resumed``,
@@ -51,14 +59,17 @@ JOURNAL_SCHEMA_VERSION = 2
 EVENT_TYPES = (
     "campaign_started",      # name, total, pending, mode, workers
     "batch_planned",         # kind, size, t_ckpt, position, batches
+    "batch_finished",        # kind, size, t_ckpt, completed, peeled,
+                             # converged, fallback
     "run_started",           # index, fault, attempt[, worker_pid]
     "run_finished",          # index, status, label, wall_s, attempts
     "retry",                 # index, attempt, delay_s, status
     "quarantined",           # index, status, attempts
     "worker_spawned",        # pid
-    "worker_heartbeat",      # pid, index, phase, age_s
+    "worker_heartbeat",      # pid, index, phase
     "worker_died",           # pid, index, exitcode, killed
-    "checkpoint_restored",   # index, t_ckpt
+    "worker_stopped",        # pid, exitcode
+    "checkpoint_restored",   # t_ckpt
     "postmortem_written",    # index, path, status
     "campaign_finished",     # name, execution (stats dict)
     # Distributed campaigns (repro.dist) — additive in journal schema
@@ -191,9 +202,42 @@ def enabled():
     return JOURNAL.enabled
 
 
+#: Callables ``(event, fields)`` registered by :func:`listening`.
+_LISTENERS = []
+
+
 def emit(event, **fields):
-    """Global-journal :meth:`Journal.emit` shortcut."""
-    JOURNAL.emit(event, **fields)
+    """Record one event in the global journal (while open), the
+    metrics registry (:func:`~repro.obs.metrics.record_event`) and
+    each listener; a listener that raises is logged, not fatal."""
+    if JOURNAL.enabled:
+        JOURNAL.emit(event, **fields)
+    _metrics.record_event(event, fields)
+    for listener in _LISTENERS:
+        try:
+            listener(event, fields)
+        except Exception:
+            LOGGER.exception("event listener failed on %r", event)
+
+
+@contextmanager
+def listening(listener):
+    """Call ``listener(event, fields)`` for each event emitted in the
+    ``with`` block."""
+    _LISTENERS.append(listener)
+    try:
+        yield listener
+    finally:
+        if listener in _LISTENERS:      # detach() may have dropped it
+            _LISTENERS.remove(listener)
+
+
+def detach():
+    """Drop the journal and listeners a forked worker inherited, so
+    the parent stays the journal's only writer and the only caller of
+    its listeners."""
+    JOURNAL.close()
+    _LISTENERS.clear()
 
 
 # -- reading -----------------------------------------------------------------

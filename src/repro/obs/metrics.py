@@ -20,6 +20,9 @@ pay nothing when nobody asked for metrics.  Two rules achieve that:
   touching the per-event loop at all.
 
 Instruments are created on first use and live until :func:`reset`.
+The campaign layer calls neither :meth:`~MetricsRegistry.inc` nor
+:meth:`~MetricsRegistry.observe`: its typed events
+(:func:`repro.obs.journal.emit`) feed :data:`EVENT_METRICS`.
 """
 
 from __future__ import annotations
@@ -200,16 +203,6 @@ def reset():
     REGISTRY.reset()
 
 
-def counter(name):
-    """Global-registry :class:`Counter` accessor."""
-    return REGISTRY.counter(name)
-
-
-def histogram(name):
-    """Global-registry :class:`Histogram` accessor."""
-    return REGISTRY.histogram(name)
-
-
 def inc(name, n=1):
     """Increment a global counter (no-op while disabled)."""
     REGISTRY.inc(name, n)
@@ -223,3 +216,68 @@ def observe(name, value):
 def snapshot():
     """Snapshot of the global registry."""
     return REGISTRY.snapshot()
+
+
+# -- the campaign event stream's sink ----------------------------------------
+
+
+def _run_started(registry, fields):
+    if fields["attempt"] == 1:      # a fault's first attempt: one run placed
+        registry.inc("campaign.runs.scalar")
+
+
+def _run_finished(registry, fields):
+    status = fields["status"]
+    if status == "ok":
+        registry.inc("campaign.runs")
+        registry.inc(f"campaign.class.{fields['label']}")
+        registry.observe("campaign.run_wall_s", fields["wall_s"])
+        if fields["attempts"] > 1:
+            registry.inc("campaign.retried_runs")
+    else:
+        registry.inc("campaign.errors")
+        if status in ("timeout", "diverged", "crashed"):
+            registry.inc(f"campaign.{status}")
+
+
+def _batch_finished(registry, fields):
+    registry.inc("campaign.batch.count")
+    registry.inc(f"campaign.batch.{fields['kind']}")
+    registry.observe("campaign.batch.size", fields["size"])
+    for key in ("peeled", "converged", "fallback"):
+        if fields[key]:
+            registry.inc(f"campaign.batch.{key}", int(fields[key]))
+    registry.inc("campaign.runs.batched", fields["completed"])
+
+
+def _campaign_finished(registry, fields):
+    execution = fields["execution"]
+    if "warm_hits" in execution:
+        registry.inc("campaign.warm.hit", execution["warm_hits"])
+        registry.inc("campaign.warm.miss", execution["warm_misses"])
+    for name, seconds in execution.get("phases", {}).items():
+        registry.observe(f"campaign.phase.{name}_s", seconds)
+
+
+def _count(name):
+    return lambda registry, fields: registry.inc(name)
+
+
+#: The one event→metric table: event type -> recorder ``(registry,
+#: fields)``.
+EVENT_METRICS = {
+    "run_started": _run_started,
+    "run_finished": _run_finished,
+    "retry": _count("campaign.retries"),
+    "quarantined": _count("campaign.quarantined"),
+    "worker_died": _count("campaign.worker_deaths"),
+    "batch_finished": _batch_finished,
+    "campaign_finished": _campaign_finished,
+}
+
+
+def record_event(event, fields):
+    """Feed one campaign event to the global registry through
+    :data:`EVENT_METRICS` (no-op while disabled)."""
+    if REGISTRY.enabled and event in EVENT_METRICS:
+        EVENT_METRICS[event](REGISTRY, fields)

@@ -13,6 +13,7 @@ import multiprocessing
 import os
 import sys
 import time
+from contextlib import closing
 
 import pytest
 
@@ -56,6 +57,20 @@ def factory():
 def make_spec(name="tele"):
     faults = exhaustive_bitflips(
         ["top/counter.q[0]", "top/counter.q[1]"], [33e-9, 55e-9]
+    )
+    return CampaignSpec(name=name, faults=faults, t_end=200e-9,
+                        outputs=["parity"])
+
+
+def record_into(events):
+    """An event-stream listener appending ``dict(event=..., **fields)``."""
+    return lambda event, fields: events.append(dict(fields, event=event))
+
+
+def sixty_fault_spec(name):
+    faults = exhaustive_bitflips(
+        [f"top/counter.q[{i}]" for i in range(4)],
+        [33e-9 + 10e-9 * k for k in range(15)],
     )
     return CampaignSpec(name=name, faults=faults, t_end=200e-9,
                         outputs=["parity"])
@@ -206,6 +221,26 @@ class TestPhaseProfiling:
         assert phases["restore"] > 0.0
         assert phases["step"] > 0.0
 
+    @needs_fork
+    def test_pool_warm_campaign_reports_worker_phases(self):
+        """Forked workers send each task's restore and step seconds
+        back with its outcome."""
+        result = run_campaign(factory, make_spec(), warm_start=True,
+                              workers=2)
+        assert result.execution["workers"] == 2
+        phases = result.execution["phases"]
+        assert phases["restore"] > 0.0
+        assert phases["step"] > 0.0
+
+    @needs_fork
+    def test_pool_digital_batches_report_peak_branch_nodes(self):
+        result = run_campaign(factory, make_spec(), batch="digital",
+                              workers=2)
+        assert result.execution["workers"] == 2
+        assert result.execution["batch"]["batches"] >= 1
+        assert result.execution["batch"]["branch_peak_live"] > 0
+        assert result.execution["phases"]["step"] > 0.0
+
     def test_phases_reach_the_metrics_registry(self):
         metrics.enable()
         run_campaign(factory, make_spec())
@@ -329,14 +364,9 @@ class TestWorkerTelemetry:
         assert rows and all(row["state"] == "stopped" for row in rows)
 
     def test_sampled_pool_campaign_leaves_no_alive_worker_row(self, tmp_path):
-        """Each chunk's batch pass and scalar pass start their own
-        workers; every one of them ends the campaign stopped."""
-        faults = exhaustive_bitflips(
-            [f"top/counter.q[{i}]" for i in range(4)],
-            [33e-9 + 10e-9 * k for k in range(15)],
-        )
-        spec = CampaignSpec(name="pool", faults=faults, t_end=200e-9,
-                            outputs=["parity"])
+        """Every worker a sampled pool campaign started ends it
+        stopped."""
+        spec = sixty_fault_spec("pool")
         with CampaignStore(tmp_path / "c.sqlite") as store:
             result = run_campaign(
                 factory, spec, sample=True, margin=0.1, chunk=10,
@@ -347,6 +377,36 @@ class TestWorkerTelemetry:
         assert result.execution["sampling"]["chunks"] >= 2
         assert rows
         assert [row for row in rows if row["state"] == "alive"] == []
+
+    def test_one_pool_serves_every_pass_of_a_campaign(self, tmp_path):
+        """Each chunk's batch pass and scalar pass reuse the campaign's
+        two workers, stopped once at the end, and the rows equal the
+        in-process run's."""
+        spec = sixty_fault_spec("pool")
+
+        def run(workers):
+            with CampaignStore(tmp_path / f"c{workers}.sqlite") as store:
+                result = run_campaign(
+                    factory, spec, sample=True, margin=0.1, chunk=10,
+                    warm_start=True, batch="digital", workers=workers,
+                    on_error="collect", store=store,
+                )
+                rows = store.run_rows(store.campaign_id("pool"))
+                return (result, [dict(row, wall_s=None) for row in rows],
+                        store.worker_rows("pool"))
+
+        journal.open_journal(tmp_path / "j.jsonl")
+        result, pool_rows, worker_rows = run(2)
+        journal.close_journal()
+        _result, serial_rows, _workers = run(1)
+        assert result.execution["workers"] == 2
+        assert result.execution["sampling"]["chunks"] == 4
+        spawned = [e["pid"] for e in read_journal(tmp_path / "j.jsonl")
+                   if e["event"] == "worker_spawned"]
+        assert len(spawned) == 2
+        assert [row["state"] for row in worker_rows] == ["stopped"] * 2
+        assert sorted(row["pid"] for row in worker_rows) == sorted(spawned)
+        assert pool_rows == serial_rows
 
     def test_dead_worker_row_records_exit(self, tmp_path):
         def killer(design, fault):
@@ -372,16 +432,16 @@ class TestWorkerTelemetry:
             time.sleep(0.3)
             return (task, True, f"done-{task}", 0.3)
 
-        supervisor = WorkerSupervisor(
+        with closing(WorkerSupervisor(
             multiprocessing.get_context("fork"), body, workers=1,
-            heartbeat_s=0.05, monitor=events.append,
-        )
-        outcomes = list(supervisor.outcomes([0, 1]))
+            heartbeat_s=0.05,
+        )) as supervisor, journal.listening(record_into(events)):
+            outcomes = list(supervisor.outcomes([0, 1]))
         assert sorted(o[0] for o in outcomes) == [0, 1]
         kinds = [e["event"] for e in events]
-        assert "spawned" in kinds
-        assert kinds.count("task") == 2
-        beats = [e for e in events if e["event"] == "heartbeat"]
+        assert "worker_spawned" in kinds
+        assert kinds.count("run_started") == 2
+        beats = [e for e in events if e["event"] == "worker_heartbeat"]
         # 0.6 s of busy worker at 0.05 s cadence: plenty of beats.
         assert len(beats) >= 2
         busy = [b for b in beats if b["phase"] == "running"]
@@ -398,15 +458,17 @@ class TestWorkerTelemetry:
             time.sleep(0.01)
             return (task, True, "ok", 0.01)
 
-        supervisor = WorkerSupervisor(
+        with closing(WorkerSupervisor(
             multiprocessing.get_context("fork"), body, workers=2,
-            heartbeat_s=None, monitor=events.append,
-        )
-        outcomes = list(supervisor.outcomes(list(range(8))))
+            heartbeat_s=None,
+        )) as supervisor, journal.listening(record_into(events)):
+            outcomes = list(supervisor.outcomes(list(range(8))))
         assert sorted(o[0] for o in outcomes) == list(range(8))
-        spawned = {e["pid"] for e in events if e["event"] == "spawned"}
+        spawned = {e["pid"] for e in events if e["event"] == "worker_spawned"}
         assert len(spawned) == 2
-        assert {e["pid"] for e in events if e["event"] == "task"} == spawned
+        assert {
+            e["worker_pid"] for e in events if e["event"] == "run_started"
+        } == spawned
 
     def test_pool_campaign_journal_has_one_writer(self, tmp_path):
         """Workers close the inherited journal: the parent writes every
@@ -419,16 +481,15 @@ class TestWorkerTelemetry:
         assert [e["seq"] for e in events] == list(range(len(events)))
         assert sum(e["event"] == "run_started" for e in events) == 4
 
-    def test_monitor_exceptions_do_not_break_the_run(self):
-        def bad_monitor(info):
-            raise RuntimeError("monitor bug")
+    def test_listener_exceptions_do_not_break_the_run(self):
+        def bad_listener(event, fields):
+            raise RuntimeError("listener bug")
 
         def body(task):
             return (task, True, "ok", 0.0)
 
-        supervisor = WorkerSupervisor(
+        with closing(WorkerSupervisor(
             multiprocessing.get_context("fork"), body, workers=1,
-            monitor=bad_monitor,
-        )
-        outcomes = list(supervisor.outcomes([0, 1, 2]))
+        )) as supervisor, journal.listening(bad_listener):
+            outcomes = list(supervisor.outcomes([0, 1, 2]))
         assert sorted(o[0] for o in outcomes) == [0, 1, 2]

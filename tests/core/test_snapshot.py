@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import Component, L0, Simulator, Snapshot
 from repro.core.errors import SimulationError
+from repro.core.logic import Logic
 from repro.digital import Bus, ClockGen, Counter, LFSR, ParityGen
 from repro.faults import BitFlip, TrapezoidPulse
 from repro.injection import InjectionController
@@ -322,3 +323,95 @@ class TestMixedPLLBitIdentity:
             sab.schedule(pulse, t_inj)
         sim.run(self.T_END)
         assert_probes_equal(probes, cold)
+
+
+class _Tally(Component):
+    """A component whose behavioural state is one plain counter."""
+
+    def __init__(self, sim, name, parent=None):
+        super().__init__(sim, name, parent=parent)
+        self.count = 0
+
+
+def match_design():
+    """Digital counter plus an analog current node, run to 35 ns, with
+    one extra signal driven by a float contribution of ``0.0``."""
+    from repro.analog import DCCurrent, TransimpedanceFilter, rc_transimpedance
+
+    sim, top, probes = digital_design()
+    node = sim.current_node("i")
+    out = sim.node("v")
+    DCCurrent(sim, "src", node, 1e-4)
+    TransimpedanceFilter(sim, "filt", node, out, rc_transimpedance(1e4, 1e-9))
+    tally = _Tally(sim, "tally", parent=top)
+    level = sim.signal("level")
+    driver = level.driver(owner="test")
+    driver.value = 0.0
+    sim.run(35e-9, inclusive=False)
+    node.add_current(1e-6, source="probe")
+    return {
+        "sim": sim, "signal": sim.signals["cnt[0]"], "node": node,
+        "out": out, "tally": tally, "driver": driver,
+    }
+
+
+def _set(obj, attr, value):
+    setattr(obj, attr, value)
+
+
+#: One change each to live state ``matches_live`` must see.
+DIVERGENT = {
+    "value": lambda d: _set(d["signal"], "_value", Logic.X),
+    "prev": lambda d: _set(d["signal"], "_prev", Logic.X),
+    "forced": lambda d: _set(d["signal"], "_forced", True),
+    "forced_value": lambda d: _set(d["signal"], "_forced_value", Logic.X),
+    "driver_value": lambda d: _set(d["driver"], "value", -0.0),
+    "node_voltage": lambda d: _set(d["out"], "v", d["out"].v + 1e-9),
+    "node_current": lambda d: _set(d["node"], "i", d["node"].i + 1e-12),
+    "contribution": lambda d: d["node"]._contributions.update(
+        probe=2e-6
+    ),
+    "component_state": lambda d: _set(d["tally"], "count", 1),
+    "pending_queue": lambda d: d["sim"].schedule(1e-9, lambda: None),
+}
+
+#: Observational bookkeeping ``matches_live`` deliberately ignores.
+OBSERVATIONAL = {
+    "change_count": lambda d: _set(
+        d["signal"], "change_count", d["signal"].change_count + 5
+    ),
+    "last_change_time": lambda d: _set(
+        d["signal"], "_last_change_time", -1.0
+    ),
+}
+
+
+class TestMatchesLive:
+    def test_unchanged_state_matches(self):
+        design = match_design()
+        snap = design["sim"].snapshot()
+        assert snap.matches_live(design["sim"])
+        # Capturing did not disturb anything a second check reads.
+        assert snap.matches_live(design["sim"])
+
+    @pytest.mark.parametrize("change", sorted(DIVERGENT))
+    def test_state_change_does_not_match(self, change):
+        design = match_design()
+        snap = design["sim"].snapshot()
+        DIVERGENT[change](design)
+        assert not snap.matches_live(design["sim"])
+
+    @pytest.mark.parametrize("change", sorted(OBSERVATIONAL))
+    def test_observational_change_still_matches(self, change):
+        design = match_design()
+        snap = design["sim"].snapshot()
+        OBSERVATIONAL[change](design)
+        assert snap.matches_live(design["sim"])
+
+    def test_other_time_or_simulator_does_not_match(self):
+        design = match_design()
+        sim = design["sim"]
+        snap = sim.snapshot()
+        assert not snap.matches_live(match_design()["sim"])
+        sim.run(45e-9)
+        assert not snap.matches_live(sim)
