@@ -13,13 +13,17 @@ reading as a faster kernel.
 import pytest
 
 from repro import Simulator
-from repro.core import L0
+from repro.core import L0, RunBudget
 from repro.digital import Bus, ClockGen, Counter, LFSR
 
 from conftest import fast_pll
 
+#: Ceilings a healthy run never reaches: the run still dispatches in
+#: budget-checked slices of at most 256 events.
+NEVER_TRIPS = RunBudget(max_events=10**9, max_steps=10**9, max_wall_s=3600)
 
-def digital_events(duration=20e-6):
+
+def digital_events(duration=20e-6, budget=None):
     sim = Simulator(dt=1e-9)
     clk = sim.signal("clk", init=L0)
     ClockGen(sim, "ck", clk, period=10e-9)
@@ -27,7 +31,7 @@ def digital_events(duration=20e-6):
     Counter(sim, "cnt", clk, q)
     p = Bus(sim, "p", 8)
     LFSR(sim, "lfsr", clk, p)
-    sim.run(duration)
+    sim.run(duration, budget=budget)
     return sim.events_executed
 
 
@@ -52,6 +56,11 @@ def pll_simulation(duration=10e-6):
 
 def test_perf_digital_events(benchmark):
     events = benchmark(digital_events)
+    assert events == 48019
+
+
+def test_perf_digital_events_budgeted(benchmark):
+    events = benchmark(digital_events, budget=NEVER_TRIPS)
     assert events == 48019
 
 

@@ -241,21 +241,19 @@ class CampaignRunner:
         controller = InjectionController(design.sim, design.root)
         controller.apply(fault)
         step_start = perf_counter()
-        design.sim.run(self.spec.t_end)
+        design.sim.run(self.spec.t_end, budget=self._budget)
         self._add_phase("step", perf_counter() - step_start)
         return design, controller
 
     def _arm(self, sim):
-        """Install the run budget, guard and flight recorder on a sim.
+        """Install the guard and flight recorder on a sim.
 
         Golden runs are never armed: they are fault-free by
-        construction, and a budget tripping there would abort the whole
-        campaign rather than classify one run.  The flight recorder is
-        a *fresh* ring per faulty run (armed only when a post-mortem
-        directory is configured), so a dump always shows this run's
-        recent history, never a predecessor's.
+        construction.  The flight recorder is a *fresh* ring per faulty
+        run (armed only when a post-mortem directory is configured), so
+        a dump always shows this run's recent history, never a
+        predecessor's.
         """
-        sim.budget = self._budget
         if self._guard is not None and sim.analog.guard is None:
             sim.analog.guard = self._guard.fresh()
         self._last_sim = sim
@@ -488,8 +486,8 @@ class CampaignRunner:
         warm = self.prepare_warm()
         design = warm["design"]
         sim = design.sim
-        # Budget the faulty suffix only (the restore below also resets
-        # the guard's step history via the solver's invalidate hook).
+        # The restore below also resets the guard's step history via
+        # the solver's invalidate hook.
         self._arm(sim)
         node = self._restore_point(fault)
 
@@ -505,7 +503,8 @@ class CampaignRunner:
         )
         with sim.injection_band():
             controller.apply(fault)
-        sim.run(self.spec.t_end)
+        # Budget the faulty suffix only: the work this run does.
+        sim.run(self.spec.t_end, budget=self._budget)
         self._add_phase("restore", step_start - restore_start)
         self._add_phase("step", perf_counter() - step_start)
 
@@ -629,7 +628,6 @@ class CampaignRunner:
 
         node = self._restore_point(faults[0][1])
         events_before = sim.events_executed
-        sim.budget = self._scaled_budget(k)
         # The per-run flight recorder is a scalar-path instrument; a
         # leftover ring from a previous scalar run must not record (or
         # dump) ensemble steps.
@@ -645,7 +643,7 @@ class CampaignRunner:
                 )
             ensemble.attach()
             try:
-                sim.run(self.spec.t_end)
+                sim.run(self.spec.t_end, budget=self._scaled_budget(k))
             except EnsembleDrainedError:
                 pass
             finally:
@@ -664,8 +662,6 @@ class CampaignRunner:
             )
             info["fallback"] = True
             return [], list(indices), info
-        finally:
-            sim.budget = None
 
         wall_s = perf_counter() - wall_start
         self._add_phase("restore", step_start - wall_start)
@@ -822,8 +818,6 @@ class CampaignRunner:
                     )
                     info["peeled"] += 1
                     leftovers.append(index)
-                finally:
-                    sim.budget = None
         return completed, leftovers, info
 
     # -- the campaign -----------------------------------------------------------

@@ -668,8 +668,9 @@ def cmd_campaign_worker(args):
         factory = design_factory(load_netlist(args.netlist))
     completed = run_worker(
         args.connect, factory=factory, name=args.name,
-        max_shards=args.max_shards, reconnect=args.reconnect,
-        max_reconnects=args.max_reconnects or None,
+        max_shards=args.max_shards,
+        max_reconnects=(0 if args.no_reconnect
+                        else args.max_reconnects or None),
         backoff_s=args.backoff, backoff_max_s=args.backoff_max,
     )
     print(f"worker done: {completed} shards completed", file=sys.stderr)
@@ -986,8 +987,7 @@ def build_parser():
                           help="worker identity (default host:pid)")
     p_worker.add_argument("--max-shards", type=int, default=None,
                           metavar="N", help="exit after N shards")
-    p_worker.add_argument("--no-reconnect", dest="reconnect",
-                          action="store_false", default=True,
+    p_worker.add_argument("--no-reconnect", action="store_true",
                           help="die on the first socket failure instead "
                                "of backing off and redialing")
     p_worker.add_argument("--max-reconnects", type=int, default=8,

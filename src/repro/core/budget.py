@@ -9,7 +9,7 @@ arms on every faulty run:
 
 * :class:`RunBudget` — hard ceilings on wall-clock time, kernel events
   and analog solver steps for one :meth:`Simulator.run` call.  The
-  kernel enforces it inside the event loop and raises
+  kernel enforces it between slices of the event loop and raises
   :class:`~repro.core.errors.BudgetExceededError`, so a hung run
   becomes a classifiable ``timeout`` outcome instead of a stalled
   campaign.
@@ -18,9 +18,11 @@ arms on every faulty run:
   :class:`~repro.core.errors.NumericalDivergenceError` the moment a
   value goes bad — before it contaminates every downstream sample.
 
-Both are *opt-in* at the kernel level (``sim.budget`` /
-``sim.analog.guard`` are ``None`` by default), so ordinary simulations
-pay nothing.  The campaign runner arms them for faulty runs.
+Both are *opt-in* at the kernel level: a budget is an argument of one
+call, ``sim.run(until, budget=RunBudget(...))``, and
+``sim.analog.guard`` is ``None`` by default, so ordinary simulations
+pay nothing.  The campaign runner passes the budget to, and arms the
+guard for, faulty runs only.
 """
 
 from __future__ import annotations

@@ -158,11 +158,11 @@ class CheckpointTree:
 
     def walk(self, times):
         """Golden nodes at exactly ``times`` (ascending), and how many
-        were captured: a time not held is reached by an unarmed golden
-        run from the latest node held before it (restored unless the
-        simulator already sits there), and memoised."""
+        were captured: a time not held is reached by a golden run,
+        without a flight recorder, from the latest node held before it
+        (restored unless the simulator already sits there), and
+        memoised."""
         sim = self.root.snapshot.sim
-        sim.budget = None
         sim.analog.recorder = None
         nodes = []
         captured = 0

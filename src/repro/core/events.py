@@ -79,9 +79,6 @@ class EventQueue:
         self._band_count = 0
         self.executed = 0
 
-    def __len__(self):
-        return sum(1 for entry in self._heap if not entry[3].cancelled)
-
     # -- sequence numbering ------------------------------------------------
 
     def mark(self):
@@ -122,42 +119,24 @@ class EventQueue:
         heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
-    def peek_time(self):
-        """Time of the next live event, or None when empty."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
+    def dispatch(self, sim, until, inclusive=True, limit=None):
+        """Run live events due by ``until``, in heap order.
 
-    def pop(self):
-        """Remove and return the next live event.
+        The kernel's only event loop: ``sim.now`` advances to each
+        event's time before its callback runs.  With ``inclusive``
+        False, events at exactly ``until`` stay pending.  With
+        ``limit``, the loop stops before the ``limit + 1``-th due
+        event.
 
-        :raises SchedulingError: when the queue is empty.
-        """
-        self._drop_cancelled()
-        if not self._heap:
-            raise SchedulingError("event queue is empty")
-        self.executed += 1
-        return heapq.heappop(self._heap)[3]
-
-    def _drop_cancelled(self):
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-
-    def dispatch(self, sim, until, inclusive=True):
-        """Run every live event due by ``until``, in heap order.
-
-        The kernel's event loop: :meth:`peek_time`, :meth:`pop` and the
-        clock update fused into one loop, with ``sim.now`` advanced to
-        each event's time before its callback runs.  With ``inclusive``
-        False, events at exactly ``until`` stay pending.
-
+        :returns: whether a due event is still pending, which only a
+            ``limit`` can leave.
         :raises SimulationError: for an event behind ``sim.now``.
         """
         heap = self._heap
         heappop = heapq.heappop
         executed = 0
+        if limit is None:
+            limit = -1
         try:
             while heap:
                 time, _priority, _seq, event = heap[0]
@@ -166,6 +145,8 @@ class EventQueue:
                     continue
                 if time > until or (time == until and not inclusive):
                     break
+                if executed == limit:
+                    return True
                 heappop(heap)
                 executed += 1
                 now = sim.now
@@ -178,10 +159,7 @@ class EventQueue:
                 event.callback()
         finally:
             self.executed += executed
-
-    def clear(self):
-        """Drop every pending event."""
-        self._heap.clear()
+        return False
 
     def pending(self, state=None):
         """Live events in dispatch order.

@@ -371,15 +371,16 @@ class Simulator:
         vctrl = sim.probe(pll.vctrl)        # record a node
         sim.run(0.2e-3)                     # simulate 0.2 ms
 
+    A supervised run passes its ceilings with the call,
+    ``sim.run(until, budget=RunBudget(...))``; nothing stays armed on
+    the simulator between calls.
+
     :param dt: nominal analog timestep in seconds.
     :param t_start: initial simulation time.
     """
 
     def __init__(self, dt=1e-9, t_start=0.0):
         self.now = float(t_start)
-        #: Optional :class:`~repro.core.budget.RunBudget` enforced per
-        #: :meth:`run` call; None (the default) keeps the fast loop.
-        self.budget = None
         self._queue = EventQueue()
         self.analog = AnalogSolver(self, dt_nominal=dt)
         self.signals = {}
@@ -505,7 +506,7 @@ class Simulator:
 
     # -- running ------------------------------------------------------------
 
-    def run(self, until, inclusive=True):
+    def run(self, until, inclusive=True, budget=None):
         """Advance the simulation to absolute time ``until``.
 
         May be called repeatedly with increasing times.  Digital events
@@ -518,91 +519,88 @@ class Simulator:
             *before* the delta cycles of the checkpoint timestamp, so
             a fault injected exactly at that time replays in the same
             order as in an uninterrupted run.
+        :param budget: optional :class:`~repro.core.budget.RunBudget`
+            bounding this call.
+        :raises BudgetExceededError: the budget tripped; the run
+            stops at the event that would have exceeded it.
         """
         if _metrics.REGISTRY.enabled or _tracer.TRACER.enabled:
-            return self._run_observed(until, inclusive)
-        return self._run_loop(until, inclusive)
+            return self._run_observed(until, inclusive, budget)
+        return self._run_loop(until, inclusive, budget)
 
-    def _run_loop(self, until, inclusive):
-        """The uninstrumented event loop (see :meth:`run`)."""
+    #: Longest slice of a budgeted run, in events: the wall clock is
+    #: read once per this many.
+    _WALL_CHECK_STRIDE = 256
+
+    def _run_loop(self, until, inclusive, budget=None):
+        """The uninstrumented event loop (see :meth:`run`); a budgeted
+        run dispatches in slices (see :meth:`_next_slice`)."""
         if until < self.now:
             raise SchedulingError(
                 f"cannot run to {until}; simulation already at {self.now}"
             )
-        if self.budget is not None and not self.budget.empty:
-            return self._run_budgeted(until, inclusive)
+        queue = self._queue
+        limit = None
+        if budget is not None and not budget.empty:
+            limit = 0   # the first slice only looks for a due event
+            start = (queue.executed, self.analog.steps,
+                     perf_counter() if budget.max_wall_s is not None
+                     else 0.0)
         self.analog.start()
-        self._queue.dispatch(self, until, inclusive)
+        while queue.dispatch(self, until, inclusive, limit):
+            limit = self._next_slice(budget, *start)
         self.now = until
 
-    #: Events between wall-clock budget checks in the budgeted loop; a
-    #: power of two so the modulo is a mask.
-    _WALL_CHECK_STRIDE = 256
+    def _next_slice(self, budget, start_events, start_steps, wall_start):
+        """Check ``budget`` where a slice stopped with an event still
+        due; returns the length of the next slice, in events.
 
-    def _run_budgeted(self, until, inclusive):
-        """The budget-enforcing event loop (see :class:`RunBudget`).
-
-        Identical semantics to :meth:`_run_loop` (whose loop is
-        :meth:`EventQueue.dispatch`) plus per-iteration resource
-        checks.  Event and step ceilings are compared every
-        iteration (one integer compare each); the wall clock is read
-        every :data:`_WALL_CHECK_STRIDE` events so a tight event storm
-        cannot make ``perf_counter`` itself the hot path.
+        A slice is no longer than the events or analog steps the
+        budget has left (an event takes at most one step) and ends at
+        each multiple of :data:`_WALL_CHECK_STRIDE` events, so a
+        ceiling is only ever reached at the end of one.  The event,
+        step and wall ceilings are checked in that order, the wall
+        clock only at a stride multiple.
 
         :raises BudgetExceededError: the run became a ``timeout``.
         """
-        budget = self.budget
-        queue = self._queue
         max_events = budget.max_events
         max_steps = budget.max_steps
         max_wall = budget.max_wall_s
-        start_events = queue.executed
-        start_steps = self.analog.steps
-        wall_start = perf_counter() if max_wall is not None else 0.0
-        wall_mask = self._WALL_CHECK_STRIDE - 1
-
-        self.analog.start()
-        executed = 0
-        while True:
-            t_next = queue.peek_time()
-            if t_next is None or t_next > until:
-                break
-            if not inclusive and t_next >= until:
-                break
-            if max_events is not None and queue.executed - start_events >= max_events:
+        events = self._queue.executed - start_events
+        steps = self.analog.steps - start_steps
+        if max_events is not None and events >= max_events:
+            raise BudgetExceededError(
+                f"run exceeded its event budget "
+                f"({max_events} events) at t={self.now:.6g}",
+                resource="events", limit=max_events,
+                used=events, at_time=self.now,
+            )
+        if max_steps is not None and steps >= max_steps:
+            raise BudgetExceededError(
+                f"run exceeded its analog step budget "
+                f"({max_steps} steps) at t={self.now:.6g}",
+                resource="steps", limit=max_steps,
+                used=steps, at_time=self.now,
+            )
+        stride = self._WALL_CHECK_STRIDE
+        if max_wall is not None and events % stride == 0:
+            elapsed = perf_counter() - wall_start
+            if elapsed > max_wall:
                 raise BudgetExceededError(
-                    f"run exceeded its event budget "
-                    f"({max_events} events) at t={self.now:.6g}",
-                    resource="events", limit=max_events,
-                    used=queue.executed - start_events, at_time=self.now,
+                    f"run exceeded its wall-clock budget "
+                    f"({max_wall:g} s) at t={self.now:.6g}",
+                    resource="wall", limit=max_wall,
+                    used=elapsed, at_time=self.now,
                 )
-            if max_steps is not None and self.analog.steps - start_steps >= max_steps:
-                raise BudgetExceededError(
-                    f"run exceeded its analog step budget "
-                    f"({max_steps} steps) at t={self.now:.6g}",
-                    resource="steps", limit=max_steps,
-                    used=self.analog.steps - start_steps, at_time=self.now,
-                )
-            if max_wall is not None and executed & wall_mask == 0:
-                elapsed = perf_counter() - wall_start
-                if elapsed > max_wall:
-                    raise BudgetExceededError(
-                        f"run exceeded its wall-clock budget "
-                        f"({max_wall:g} s) at t={self.now:.6g}",
-                        resource="wall", limit=max_wall,
-                        used=elapsed, at_time=self.now,
-                    )
-            event = queue.pop()
-            if event.time < self.now - 1e-18:
-                raise SimulationError(
-                    f"event at {event.time} behind current time {self.now}"
-                )
-            self.now = max(self.now, event.time)
-            event.callback()
-            executed += 1
-        self.now = until
+        limit = stride - events % stride
+        if max_events is not None:
+            limit = min(limit, max_events - events)
+        if max_steps is not None:
+            limit = min(limit, max_steps - steps)
+        return limit
 
-    def _run_observed(self, until, inclusive):
+    def _run_observed(self, until, inclusive, budget=None):
         """Instrumented :meth:`run`: delta-count events and steps.
 
         The event loop itself stays untouched — dispatch and step
@@ -614,7 +612,7 @@ class Simulator:
         steps_before = self.analog.steps
         wall_start = perf_counter()
         with _tracer.TRACER.span("kernel.run", t_from=self.now, t_to=until):
-            self._run_loop(until, inclusive)
+            self._run_loop(until, inclusive, budget)
         registry = _metrics.REGISTRY
         registry.inc("kernel.events", self._queue.executed - events_before)
         registry.inc("kernel.analog_steps", self.analog.steps - steps_before)

@@ -111,7 +111,7 @@ class CoordinatorLink:
     """
 
     def __init__(self, host, port, ident, connect_timeout=10.0,
-                 reconnect=True, max_reconnects=DEFAULT_MAX_RECONNECTS,
+                 max_reconnects=DEFAULT_MAX_RECONNECTS,
                  backoff_s=DEFAULT_BACKOFF_S,
                  backoff_max_s=DEFAULT_BACKOFF_MAX_S,
                  row_buffer=DEFAULT_ROW_BUFFER, stop=None, rng=None):
@@ -119,7 +119,6 @@ class CoordinatorLink:
         self.port = port
         self.ident = ident
         self.connect_timeout = connect_timeout
-        self.reconnect = reconnect
         self.max_reconnects = max_reconnects
         self.backoff_s = backoff_s
         self.backoff_max_s = backoff_max_s
@@ -193,15 +192,13 @@ class CoordinatorLink:
         raise WorkerShutdown("shutdown requested while disconnected")
 
     def connect(self):
-        """Initial dial.  With reconnect enabled, failures back off."""
+        """Initial dial; a failure enters the reconnect loop."""
         with self._lock:
             try:
                 self._dial_locked()
             except ProtocolError:
-                if not self.reconnect:
-                    raise
                 LOGGER.warning(
-                    "worker %s initial dial to %s:%s failed; retrying",
+                    "worker %s initial dial to %s:%s failed",
                     self.ident, self.host, self.port,
                 )
                 self._reconnect_locked()
@@ -266,11 +263,6 @@ class CoordinatorLink:
                 return False
             if frame_type == "heartbeat":
                 return False
-            if not self.reconnect:
-                raise CoordinatorLost(
-                    f"coordinator connection lost and reconnect is "
-                    f"disabled (sending {frame_type!r})"
-                )
             self._reconnect_locked()
             self._drain_locked()
             self._conn.send(frame_type, **fields)
@@ -302,11 +294,6 @@ class CoordinatorLink:
         if conn is None:
             with self._lock:
                 if self._conn is None:
-                    if not self.reconnect:
-                        raise CoordinatorLost(
-                            "coordinator connection lost and reconnect "
-                            "is disabled"
-                        )
                     self._reconnect_locked()
                 conn = self._conn
         frame = conn.recv(timeout=timeout)
@@ -487,7 +474,7 @@ def _install_sigterm(stop):
 
 def run_worker(address, factory=None, name=None, max_shards=None,
                heartbeat_s=DEFAULT_HEARTBEAT_S, connect_timeout=10.0,
-               reconnect=True, max_reconnects=DEFAULT_MAX_RECONNECTS,
+               max_reconnects=DEFAULT_MAX_RECONNECTS,
                backoff_s=DEFAULT_BACKOFF_S,
                backoff_max_s=DEFAULT_BACKOFF_MAX_S,
                row_buffer=DEFAULT_ROW_BUFFER, stop=None, rng=None):
@@ -513,9 +500,9 @@ def run_worker(address, factory=None, name=None, max_shards=None,
     :param factory: optional local design factory; otherwise shards
         must carry their netlist.
     :param max_shards: stop after this many shards (tests).
-    :param reconnect: False restores fail-fast sockets (one strike).
     :param max_reconnects: consecutive failed dials before giving up
-        (None: keep trying forever).
+        (None: keep trying forever; 0: the first socket failure
+        raises, with no backoff wait).
     :param backoff_s / backoff_max_s: reconnect backoff base/ceiling.
     :param row_buffer: rows buffered while disconnected (oldest
         dropped beyond this; dedup makes the drop safe).
@@ -533,14 +520,14 @@ def run_worker(address, factory=None, name=None, max_shards=None,
     previous_handler = _install_sigterm(stop)
     link = CoordinatorLink(
         host, port, ident, connect_timeout=connect_timeout,
-        reconnect=reconnect, max_reconnects=max_reconnects,
+        max_reconnects=max_reconnects,
         backoff_s=backoff_s, backoff_max_s=backoff_max_s,
         row_buffer=row_buffer, stop=stop, rng=rng,
     )
-    link.connect()
     completed = 0
     requested = False   # a lease_request is parked at the coordinator
     try:
+        link.connect()
         while not stop.is_set() and (
                 max_shards is None or completed < max_shards):
             if not requested:

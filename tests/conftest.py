@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.core import Simulator
 
 #: Per-test wall-clock guard in seconds (0 disables).  The supervised
@@ -47,6 +48,19 @@ def _per_test_timeout():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def clean_instruments():
+    """Every test starts and ends with the process-global metrics
+    registry and tracer off and empty, and no journal or listener."""
+    obs.disable()
+    obs.reset()
+    obs.journal.detach()
+    yield
+    obs.disable()
+    obs.reset()
+    obs.journal.detach()
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ the interaction with snapshot/restore (the guard's step-to-step
 history must not leak across a restore).
 """
 
+import itertools
 import math
 
 import pytest
@@ -20,6 +21,7 @@ from repro.core import (
     NumericalGuard,
     RunBudget,
     Simulator,
+    kernel,
 )
 from repro.core.errors import ReproError
 from repro.digital import ClockGen
@@ -52,6 +54,13 @@ def analog_sim(t_bad, bad_value):
     return sim
 
 
+def mixed_sim():
+    """A 10 ns clock next to a 1 ns analog solver."""
+    sim = clocked_sim()
+    Poison(sim, "poison", sim.node("x"), t_bad=1.0, bad_value=1.0)
+    return sim
+
+
 class TestRunBudget:
     def test_validation(self):
         with pytest.raises(ReproError):
@@ -75,40 +84,105 @@ class TestRunBudget:
 
     def test_event_budget_trips(self):
         sim = clocked_sim()
-        sim.budget = RunBudget(max_events=25)
         with pytest.raises(BudgetExceededError) as info:
-            sim.run(100e-6)
+            sim.run(100e-6, budget=RunBudget(max_events=25))
         assert info.value.resource == "events"
-        assert sim.events_executed >= 25
+        assert sim.events_executed == 25
 
     def test_step_budget_trips(self):
         sim = analog_sim(t_bad=1.0, bad_value=1.0)  # never poisons
-        sim.budget = RunBudget(max_steps=10)
         with pytest.raises(BudgetExceededError) as info:
-            sim.run(1e-6)
+            sim.run(1e-6, budget=RunBudget(max_steps=10))
         assert info.value.resource == "steps"
 
     def test_wall_budget_trips(self):
         sim = clocked_sim(period=2e-9)
-        sim.budget = RunBudget(max_wall_s=1e-9)  # trips immediately
         with pytest.raises(BudgetExceededError) as info:
-            sim.run(1e-3)
+            # Trips at the first check.
+            sim.run(1e-3, budget=RunBudget(max_wall_s=1e-9))
         assert info.value.resource == "wall"
 
     def test_budget_is_per_run_call(self):
         sim = clocked_sim()
-        sim.budget = RunBudget(max_events=50)
-        sim.run(100e-9)  # well under budget
-        sim.run(200e-9)  # counts restart per call: still under
+        budget = RunBudget(max_events=50)
+        sim.run(100e-9, budget=budget)  # well under budget
+        sim.run(200e-9, budget=budget)  # counts restart per call
         assert sim.now == pytest.approx(200e-9)
 
     def test_unbudgeted_run_unchanged(self):
         budgeted = clocked_sim()
-        budgeted.budget = RunBudget(max_events=10**9)
         free = clocked_sim()
-        budgeted.run(1e-6)
+        budgeted.run(1e-6, budget=RunBudget(max_events=10**9))
         free.run(1e-6)
         assert budgeted.events_executed == free.events_executed
+
+
+class TestTripPoints:
+    """Where each ceiling trips: the resource, limit, amount used,
+    simulated time and executed prefix of every trip are pinned."""
+
+    @pytest.mark.parametrize("max_events, at_time", [
+        (1, 0.0), (290, 144e-9), (500, 249e-9), (1000, 499e-9),
+    ])
+    def test_event_ceiling(self, max_events, at_time):
+        sim = clocked_sim(period=2e-9)
+        with pytest.raises(BudgetExceededError) as info:
+            sim.run(1e-3, budget=RunBudget(max_events=max_events))
+        trip = info.value
+        assert trip.resource == "events"
+        assert trip.limit == trip.used == max_events
+        assert trip.at_time == pytest.approx(at_time)
+        assert sim.events_executed == max_events
+        assert str(trip) == (
+            f"run exceeded its event budget ({max_events} events) "
+            f"at t={trip.at_time:.6g}"
+        )
+
+    def test_exact_event_budget_does_not_trip(self):
+        free = clocked_sim()
+        free.run(1e-6)
+        needed = free.events_executed
+        assert needed == 403
+        sim = clocked_sim()
+        sim.run(1e-6, budget=RunBudget(max_events=needed))
+        assert sim.events_executed == needed
+        assert sim.now == 1e-6
+        short = clocked_sim()
+        with pytest.raises(BudgetExceededError) as info:
+            short.run(1e-6, budget=RunBudget(max_events=needed - 1))
+        assert info.value.used == needed - 1
+
+    def test_step_ceiling_on_a_mixed_design(self):
+        sim = mixed_sim()
+        with pytest.raises(BudgetExceededError) as info:
+            sim.run(1e-6, budget=RunBudget(max_steps=37))
+        trip = info.value
+        assert trip.resource == "steps"
+        assert trip.limit == trip.used == 37
+        assert trip.at_time == pytest.approx(36e-9)
+        assert sim.analog_steps == 37
+        assert sim.events_executed == 54
+        assert str(trip) == (
+            "run exceeded its analog step budget (37 steps) at t=3.6e-08"
+        )
+
+    def test_wall_ceiling_is_read_every_256_events(self, monkeypatch):
+        """A clock that advances 1 s per read reaches 6 s > 5 s at the
+        sixth check past the start: after 5 x 256 events."""
+        clock = itertools.count(0.0, 1.0)
+        monkeypatch.setattr(kernel, "perf_counter", lambda: next(clock))
+        sim = clocked_sim(period=2e-9)
+        with pytest.raises(BudgetExceededError) as info:
+            sim.run(1e-3, budget=RunBudget(max_wall_s=5))
+        trip = info.value
+        assert trip.resource == "wall"
+        assert trip.limit == 5.0
+        assert trip.used == 6.0
+        assert sim.events_executed == 1280
+        assert trip.at_time == pytest.approx(639e-9)
+        assert str(trip) == (
+            "run exceeded its wall-clock budget (5 s) at t=6.39e-07"
+        )
 
 
 class TestNumericalGuard:

@@ -5,7 +5,6 @@ walks and splices from."""
 import pytest
 
 from repro.core import CheckpointNode, CheckpointTree, Component, L0, Simulator
-from repro.core.budget import RunBudget
 from repro.core.errors import SimulationError
 from repro.digital import Bus, ClockGen, Counter, LFSR, ParityGen
 from repro.faults import BitFlip
@@ -317,11 +316,9 @@ class TestGoldenWalk:
 
     def test_walks_unarmed(self):
         run = GoldenRun()
-        run.sim.budget = RunBudget(max_events=1)
         run.sim.analog.recorder = FlightRecorder()
         _nodes, captured = run.tree.walk([135e-9])
         assert captured == 1
-        assert run.sim.budget is None
         assert run.sim.analog.recorder is None
 
     def test_captured_node_restores_like_a_straight_golden_run(self):

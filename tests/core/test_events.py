@@ -1,5 +1,8 @@
 """Tests for the event queue."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +16,11 @@ from repro.core.events import (
 )
 
 
+def drain(q, until=math.inf, limit=None):
+    """Dispatch ``q`` on a bare clock; returns ``dispatch``'s result."""
+    return q.dispatch(SimpleNamespace(now=0.0), until, limit=limit)
+
+
 class TestOrdering:
     def test_time_order(self):
         q = EventQueue()
@@ -20,8 +28,7 @@ class TestOrdering:
         q.push(3.0, lambda: order.append("c"))
         q.push(1.0, lambda: order.append("a"))
         q.push(2.0, lambda: order.append("b"))
-        while q.peek_time() is not None:
-            q.pop().callback()
+        drain(q)
         assert order == ["a", "b", "c"]
 
     def test_same_time_fifo(self):
@@ -29,8 +36,7 @@ class TestOrdering:
         order = []
         for tag in "abc":
             q.push(1.0, lambda t=tag: order.append(t))
-        while q.peek_time() is not None:
-            q.pop().callback()
+        drain(q)
         assert order == ["a", "b", "c"]
 
     def test_priority_within_timestamp(self):
@@ -39,8 +45,7 @@ class TestOrdering:
         q.push(1.0, lambda: order.append("normal"), PRIORITY_NORMAL)
         q.push(1.0, lambda: order.append("monitor"), PRIORITY_MONITOR)
         q.push(1.0, lambda: order.append("analog"), PRIORITY_ANALOG)
-        while q.peek_time() is not None:
-            q.pop().callback()
+        drain(q)
         assert order == ["analog", "normal", "monitor"]
 
     def test_priority_never_beats_time(self):
@@ -48,74 +53,89 @@ class TestOrdering:
         order = []
         q.push(2.0, lambda: order.append("early-analog"), PRIORITY_ANALOG)
         q.push(1.0, lambda: order.append("late-normal"), PRIORITY_NORMAL)
-        while q.peek_time() is not None:
-            q.pop().callback()
+        drain(q)
         assert order == ["late-normal", "early-analog"]
 
     @given(st.lists(st.floats(min_value=0, max_value=100,
                               allow_nan=False), min_size=1, max_size=50))
     def test_pop_order_is_sorted(self, times):
         q = EventQueue()
-        for t in times:
-            q.push(t, lambda: None)
+        clock = SimpleNamespace(now=0.0)
         popped = []
-        while q.peek_time() is not None:
-            popped.append(q.pop().time)
+        for t in times:
+            q.push(t, lambda: popped.append(clock.now))
+        q.dispatch(clock, math.inf)
         assert popped == sorted(times)
 
 
 class TestCancellation:
     def test_cancelled_event_skipped(self):
         q = EventQueue()
-        event = q.push(1.0, lambda: None)
+        fired = []
+        event = q.push(1.0, lambda: fired.append(1))
         event.cancel()
-        assert q.peek_time() is None
-        assert len(q) == 0
+        assert q.pending() == []
+        drain(q)
+        assert fired == []
+        assert q.executed == 0
 
     def test_cancel_is_idempotent(self):
         q = EventQueue()
         event = q.push(1.0, lambda: None)
         event.cancel()
         event.cancel()
-        assert len(q) == 0
+        assert q.pending() == []
 
     def test_cancel_one_of_many(self):
         q = EventQueue()
         keep = q.push(2.0, lambda: None)
         drop = q.push(1.0, lambda: None)
         drop.cancel()
-        assert q.peek_time() == 2.0
-        assert q.pop() is keep
+        assert q.pending() == [keep]
+        assert drain(q, limit=0)
+        assert drain(q) is False
+        assert q.executed == 1
 
 
 class TestQueueBasics:
-    def test_pop_empty_raises(self):
+    def test_dispatch_on_an_empty_queue_runs_nothing(self):
         q = EventQueue()
-        with pytest.raises(SchedulingError):
-            q.pop()
+        assert drain(q) is False
+        assert drain(q, limit=0) is False
+        assert q.executed == 0
 
-    def test_len_counts_live_events(self):
+    def test_pending_lists_live_events(self):
         q = EventQueue()
-        q.push(1.0, lambda: None)
-        e = q.push(2.0, lambda: None)
-        assert len(q) == 2
-        e.cancel()
-        assert len(q) == 1
+        first = q.push(1.0, lambda: None)
+        second = q.push(2.0, lambda: None)
+        assert q.pending() == [first, second]
+        second.cancel()
+        assert q.pending() == [first]
 
     def test_executed_counter(self):
         q = EventQueue()
         q.push(1.0, lambda: None)
         q.push(2.0, lambda: None)
-        q.pop()
+        drain(q, until=1.0)
         assert q.executed == 1
-        q.pop()
+        drain(q)
         assert q.executed == 2
 
-    def test_clear(self):
+    def test_limit_stops_before_the_next_due_event(self):
+        """``dispatch`` with a limit runs that many due events and
+        reports whether another one is due; one that is not due yet
+        does not count."""
         q = EventQueue()
-        q.push(1.0, lambda: None)
-        q.clear()
-        assert q.peek_time() is None
+        order = []
+        for tag, t in (("a", 1.0), ("b", 1.0), ("c", 2.0)):
+            q.push(t, lambda tag=tag: order.append(tag))
+        assert drain(q, until=1.0, limit=1) is True
+        assert order == ["a"]
+        assert drain(q, until=1.0, limit=1) is False
+        assert order == ["a", "b"]
+        assert drain(q, until=2.0, limit=5) is False
+        assert order == ["a", "b", "c"]
+        assert q.executed == 3
 
     def test_repr_mentions_state(self):
         q = EventQueue()

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import L0, L1, Logic, RunBudget, Simulator, resolve_many
+from repro.core import (
+    BudgetExceededError,
+    L0,
+    L1,
+    Logic,
+    RunBudget,
+    Simulator,
+    resolve_many,
+)
 from repro.core.events import (
     EventQueue,
     PRIORITY_ANALOG,
@@ -81,9 +89,12 @@ class _ReferenceQueue:
     Band events count as inserted at the elaboration mark, after every
     event inserted before it; among themselves they keep insertion
     order across bands, and capture/restore rewinds both counters.
+    A run with ``max_events`` set trips when one more event is due
+    after that many.
     """
 
-    def __init__(self):
+    def __init__(self, max_events=None):
+        self.max_events = max_events
         self.now = 0.0
         self.pending = []
         self.created = []
@@ -129,6 +140,7 @@ class _ReferenceQueue:
             event.cancelled = flag
 
     def run(self, until, inclusive):
+        done = 0
         while True:
             live = [e for e in self.pending if not e.cancelled]
             if not live:
@@ -136,6 +148,12 @@ class _ReferenceQueue:
             event = min(live, key=lambda e: (e.time, e.priority, e.order))
             if event.time > until or (event.time == until and not inclusive):
                 break
+            if done == self.max_events:
+                raise BudgetExceededError(
+                    "event ceiling", resource="events", limit=done,
+                    used=done, at_time=self.now,
+                )
+            done += 1
             self.pending.remove(event)
             self.now = event.time
             self.executed += 1
@@ -148,11 +166,9 @@ class _ReferenceQueue:
 class _KernelReplay:
     """The same operations on a real :class:`Simulator`."""
 
-    def __init__(self, budgeted):
+    def __init__(self, budget=None):
         self.sim = Simulator()
-        if budgeted:
-            # Never trips, but routes every run through _run_budgeted.
-            self.sim.budget = RunBudget(max_events=10**9, max_steps=10**9)
+        self.budget = budget
         self.created = []
         self.log = []
         self.saved = None
@@ -193,31 +209,38 @@ class _KernelReplay:
         self.sim.restore(self.saved)
 
     def run(self, until, inclusive):
-        self.sim.run(until, inclusive=inclusive)
+        self.sim.run(until, inclusive=inclusive, budget=self.budget)
 
 
 def _replay(target, elaboration, ops):
+    """The callback log, the event count and the first budget trip
+    ``(resource, limit, used, at_time)`` or None; a trip ends the
+    schedule."""
     for spec in elaboration:
         target.push(spec)
     target.mark_elaboration()
-    for op in ops:
-        kind = op[0]
-        if kind == "push":
-            target.push(op[1])
-        elif kind == "band":
-            target.band(op[1])
-        elif kind == "cancel":
-            if target.created:
-                target.created[op[1] % len(target.created)].cancel()
-        elif kind == "capture":
-            target.capture()
-        elif kind == "restore":
-            if target.saved is not None:
-                target.restore()
-        else:
-            target.run(target.now + op[1], op[2])
-    target.run(target.now + 10, True)
-    return target.log, target.executed
+    try:
+        for op in ops:
+            kind = op[0]
+            if kind == "push":
+                target.push(op[1])
+            elif kind == "band":
+                target.band(op[1])
+            elif kind == "cancel":
+                if target.created:
+                    target.created[op[1] % len(target.created)].cancel()
+            elif kind == "capture":
+                target.capture()
+            elif kind == "restore":
+                if target.saved is not None:
+                    target.restore()
+            else:
+                target.run(target.now + op[1], op[2])
+        target.run(target.now + 10, True)
+    except BudgetExceededError as exc:
+        trip = (exc.resource, exc.limit, exc.used, exc.at_time)
+        return target.log, target.executed, trip
+    return target.log, target.executed, None
 
 
 class TestDispatchOrder:
@@ -227,19 +250,31 @@ class TestDispatchOrder:
         st.lists(_OP, max_size=30),
         st.lists(_PUSH, min_size=1, max_size=4),
         st.integers(0, 30),
+        st.none() | st.integers(1, 30),
     )
     def test_both_loops_follow_the_reference_order(
-        self, elaboration, ops, band, band_at
+        self, elaboration, ops, band, band_at, ceiling
     ):
-        """The fused loop (``EventQueue.dispatch``) and the budgeted
-        loop run every callback in the reference (time, priority,
+        """Plain runs and budgeted runs (``EventQueue.dispatch`` in
+        slices) run every callback in the reference (time, priority,
         insertion order), with tied times, cancels, injection bands,
-        capture/restore and runs to ``until`` in or excluding it."""
+        capture/restore and runs to ``until`` in or excluding it.
+
+        With an event ``ceiling``, the first run that still has a due
+        event after that many trips, with the reference's callback
+        prefix, ``used == limit == ceiling`` and the reference clock;
+        without one, a budget that never trips changes nothing."""
         ops = list(ops)
         ops.insert(min(band_at, len(ops)), ("band", band))
-        expected = _replay(_ReferenceQueue(), elaboration, ops)
-        assert _replay(_KernelReplay(False), elaboration, ops) == expected
-        assert _replay(_KernelReplay(True), elaboration, ops) == expected
+        plain = _replay(_ReferenceQueue(), elaboration, ops)
+        assert plain[2] is None
+        assert _replay(_KernelReplay(), elaboration, ops) == plain
+        if ceiling is None:
+            budget = RunBudget(max_events=10**9, max_steps=10**9)
+        else:
+            budget = RunBudget(max_events=ceiling)
+        expected = _replay(_ReferenceQueue(ceiling), elaboration, ops)
+        assert _replay(_KernelReplay(budget), elaboration, ops) == expected
 
 
 class TestSignalInvariants:

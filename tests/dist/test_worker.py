@@ -1,8 +1,20 @@
-"""Worker-side execution: the streaming store and shard runner."""
+"""Worker-side execution: the streaming store, the shard runner and
+the coordinator link."""
+
+import signal
+import socket
+import threading
 
 import pytest
 
-from repro.dist import ProtocolError, RowStreamStore, execute_shard, plan_shards
+from repro.dist import (
+    CoordinatorLost,
+    ProtocolError,
+    RowStreamStore,
+    execute_shard,
+    plan_shards,
+    run_worker,
+)
 
 from ..store.test_resume import factory, make_spec
 
@@ -100,3 +112,21 @@ class TestExecuteShard:
                             row["classification"],
                             row["comparisons"]) \
                         == serial_rows[row["idx"]]
+
+
+class TestCoordinatorLink:
+    def test_no_redials_fails_at_the_first_dial_without_waiting(self):
+        """``max_reconnects=0`` makes the first failed dial raise
+        :class:`CoordinatorLost` with no backoff wait, and the worker
+        gives back the SIGTERM handler it installed."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]   # closed once the probe is
+        waits = []
+        stop = threading.Event()
+        stop.wait = waits.append
+        handler = signal.getsignal(signal.SIGTERM)
+        with pytest.raises(CoordinatorLost):
+            run_worker(("127.0.0.1", port), max_reconnects=0, stop=stop)
+        assert waits == []
+        assert signal.getsignal(signal.SIGTERM) is handler

@@ -147,8 +147,7 @@ class TestHelpers:
         sim = Simulator(dt=1e-9)
         node = sim.current_node("icp")
         CurrentPulseSaboteur(sim, "sab", node).schedule(pulse, 10e-9)
-        sim.budget = RunBudget(max_steps=10_000)
-        sim.run(1.2e-6)
+        sim.run(1.2e-6, budget=RunBudget(max_steps=10_000))
         assert sim.now == pytest.approx(1.2e-6)
 
     def test_parameters_dict(self):
